@@ -19,18 +19,15 @@ from balancecast import (
     GbtConfig,
     SyntheticConfig,
     align_horizon,
-    ebm_spec,
     ebm_train,
     evaluate,
     expanding_window_folds,
     export_shapes,
-    gbt_spec,
     generate_synthetic,
     global_importance,
-    naive_spec,
+    model_spec,
     save_csv,
     save_truth_json,
-    stacked_spec,
 )
 
 
@@ -71,12 +68,15 @@ def main():
     print(f"{len(folds)} expanding-window folds on {aligned.n_rows} aligned rows")
 
     models = [
-        naive_spec(args.horizon_steps),
-        gbt_spec(GbtConfig(n_trees=120, max_depth=3, learning_rate=0.1)),
-        ebm_spec(EbmConfig(outer_rounds=120, learning_rate=0.25, max_bins=48)),
-        stacked_spec(
-            EbmConfig(outer_rounds=80, learning_rate=0.25, max_bins=48),
-            GbtConfig(n_trees=40, max_depth=3),
+        model_spec("naive", args.horizon_steps),
+        model_spec("gbt", GbtConfig(n_trees=120, max_depth=3, learning_rate=0.1)),
+        model_spec("ebm", EbmConfig(outer_rounds=120, learning_rate=0.25, max_bins=48)),
+        model_spec(
+            "stacked",
+            (
+                EbmConfig(outer_rounds=80, learning_rate=0.25, max_bins=48),
+                GbtConfig(n_trees=40, max_depth=3),
+            ),
         ),
     ]
     report = evaluate(models, aligned, folds, epsilon=args.epsilon)

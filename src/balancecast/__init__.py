@@ -7,7 +7,7 @@ latter two. An expanding-window harness evaluates them with MAE/RMSE/R2,
 both overall and restricted to deviation events.
 """
 
-from .baseline import NaiveModel, naive_forecast, naive_forecast_series
+from .baseline import NaiveModel, naive_forecast
 from .data import (
     CONTINUOUS,
     CYCLICAL,
@@ -61,18 +61,14 @@ from .evaluation import (
     Metrics,
     ModelSpec,
     compute_metrics,
-    ebm_spec,
     evaluate,
     expanding_window_folds,
     filter_deviation_events,
-    gbt_spec,
-    naive_spec,
-    stacked_spec,
+    model_spec,
 )
 from .gbt import (
     GbtConfig,
     GbtModel,
-    GradHess,
     TreeNode,
     fit_tree,
     gbt_from_dict,
@@ -80,12 +76,11 @@ from .gbt import (
     gbt_predict_batch,
     gbt_to_dict,
     gbt_train,
-    grad_hess_squared_loss,
     leaf_weight,
     split_gain,
     tree_predict,
 )
-from .persistence import load_model, save_model
+from .persistence import KINDS, ModelKind, load_model, save_model
 from .stacking import (
     StackedModel,
     stacked_from_dict,

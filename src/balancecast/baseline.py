@@ -25,32 +25,22 @@ class NaiveModel:
             )
 
 
-def naive_forecast(series, horizon_steps: int, t: int) -> float:
-    """Persistence forecast for index ``t``: the value at ``t - horizon_steps``."""
-    if horizon_steps < 1:
-        raise InvalidArgumentError(
-            f"horizon_steps must be >= 1, got {horizon_steps}"
-        )
-    if t < horizon_steps:
-        raise InsufficientHistoryError(
-            f"forecast at index {t} needs {horizon_steps} steps of history"
-        )
-    return float(np.asarray(series, dtype=np.float64)[t - horizon_steps])
+def naive_forecast(series, horizon_steps: int, idx):
+    """Persistence forecast for index ``idx``: the value ``horizon_steps`` earlier.
 
-
-def naive_forecast_series(series, horizon_steps: int) -> np.ndarray:
-    """Vectorized persistence forecasts for every valid index.
-
-    Element k is the forecast for index ``horizon_steps + k``, equal to
-    ``series[k]``; equivalent to calling :func:`naive_forecast` per index.
+    ``idx`` is an int (returns a float), an index array or a slice (returns
+    an array). Every index needs ``horizon_steps`` steps of history, and an
+    empty selection has no forecast to give.
     """
-    s = np.asarray(series, dtype=np.float64)
     if horizon_steps < 1:
         raise InvalidArgumentError(
             f"horizon_steps must be >= 1, got {horizon_steps}"
         )
-    if horizon_steps >= len(s):
+    s = np.asarray(series, dtype=np.float64)
+    t = np.arange(len(s))[idx] if isinstance(idx, slice) else np.asarray(idx)
+    if t.size == 0 or t.min() < horizon_steps:
         raise InsufficientHistoryError(
-            f"series of length {len(s)} has no index with {horizon_steps} steps of history"
+            f"persistence forecasts need {horizon_steps} steps of history, i.e. an "
+            f"index >= {horizon_steps}; got {t.min() if t.size else 'no index'}"
         )
-    return s[:-horizon_steps].copy()
+    return float(s[t - horizon_steps]) if t.ndim == 0 else s[t - horizon_steps]

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import NaiveModel
 from .data import (
     DEFAULT_HORIZON_STEPS,
     Dataset,
@@ -32,15 +31,7 @@ from .data import (
     save_truth_json,
     synthetic_schema,
 )
-from .ebm import (
-    EbmConfig,
-    ebm_predict,
-    ebm_predict_batch,
-    ebm_train,
-    explain_local,
-    export_shapes,
-    global_importance,
-)
+from .ebm import EbmConfig, ebm_predict, explain_local, export_shapes, global_importance
 from .errors import (
     BalancecastError,
     DegenerateLeafError,
@@ -51,24 +42,45 @@ from .errors import (
     SchemaError,
     UnsupportedModelError,
 )
-from .evaluation import (
-    ebm_spec,
-    evaluate,
-    expanding_window_folds,
-    gbt_spec,
-    naive_spec,
-    stacked_spec,
-)
-from .gbt import GbtConfig, gbt_predict_batch, gbt_train
-from .persistence import load_model, save_model
-from .stacking import stacked_predict_batch, stacked_train
+from .evaluation import evaluate, expanding_window_folds, model_spec
+from .gbt import GbtConfig
+from .persistence import KINDS, load_model, save_model
+from .stacking import META_GBT_DEFAULTS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-MODEL_CHOICES = ("naive", "gbt", "ebm", "stacked")
+# The configs the CLI builds from flags, at their defaults.
+CONFIG_DEFAULTS = {
+    "gbt": GbtConfig(),
+    "ebm": EbmConfig(),
+    "meta": META_GBT_DEFAULTS,
+    "synth": SyntheticConfig(),
+}
+# (flag dest, config, field): the flag sets that field of that config; a flag
+# left unset keeps the default.
+CONFIG_FLAGS = (
+    ("n_trees", "gbt", "n_trees"),
+    ("learning_rate", "gbt", "learning_rate"),
+    ("gamma", "gbt", "gamma"),
+    ("reg_lambda", "gbt", "reg_lambda"),
+    ("max_depth", "gbt", "max_depth"),
+    ("min_child_weight", "gbt", "min_child_weight"),
+    ("outer_rounds", "ebm", "outer_rounds"),
+    ("learning_rate", "ebm", "learning_rate"),
+    ("max_bins", "ebm", "max_bins"),
+    ("max_leaves", "ebm", "max_leaves_per_round"),
+    ("meta_n_trees", "meta", "n_trees"),
+    ("meta_max_depth", "meta", "max_depth"),
+    ("meta_learning_rate", "meta", "learning_rate"),
+    ("n_rows", "synth", "n_rows"),
+    ("seed", "synth", "seed"),
+    ("noise_sd", "synth", "noise_sd"),
+    ("spike_prob", "synth", "spike_prob"),
+    ("spike_scale", "synth", "spike_scale"),
+)
 
 
 class UsageError(BalancecastError):
@@ -86,19 +98,13 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon-steps", type=int, default=None)
 
 
-def _add_hyperparams(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-trees", type=int, default=None)
-    parser.add_argument("--learning-rate", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--reg-lambda", type=float, default=None)
-    parser.add_argument("--max-depth", type=int, default=None)
-    parser.add_argument("--min-child-weight", type=float, default=None)
-    parser.add_argument("--outer-rounds", type=int, default=None)
-    parser.add_argument("--max-bins", type=int, default=None)
-    parser.add_argument("--max-leaves", type=int, default=None)
-    parser.add_argument("--meta-n-trees", type=int, default=None)
-    parser.add_argument("--meta-max-depth", type=int, default=None)
-    parser.add_argument("--meta-learning-rate", type=float, default=None)
+def _add_config_flags(parser: argparse.ArgumentParser, *configs: str) -> None:
+    added = {"seed"}  # every command has --seed (see _add_common)
+    for flag, config, field in CONFIG_FLAGS:
+        if config in configs and flag not in added:
+            added.add(flag)
+            kind = type(getattr(CONFIG_DEFAULTS[config], field))
+            parser.add_argument("--" + flag.replace("_", "-"), type=kind, default=None)
 
 
 def _add_eval(parser: argparse.ArgumentParser) -> None:
@@ -119,17 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     _add_common(p)
-    p.add_argument("--n-rows", type=int, default=None)
-    p.add_argument("--noise-sd", type=float, default=None)
-    p.add_argument("--spike-prob", type=float, default=None)
-    p.add_argument("--spike-scale", type=float, default=None)
+    _add_config_flags(p, "synth")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one model and write model.json")
     _add_common(p)
     _add_data(p)
-    _add_hyperparams(p)
-    p.add_argument("--model", default=None, help="naive|gbt|ebm|stacked")
+    _add_config_flags(p, "gbt", "ebm", "meta")
+    p.add_argument("--model", default=None, help="|".join(KINDS))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict with a saved model")
@@ -141,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="expanding-window evaluation report")
     _add_common(p)
     _add_data(p)
-    _add_hyperparams(p)
+    _add_config_flags(p, "gbt", "ebm", "meta")
     _add_eval(p)
     p.add_argument(
-        "--models", default=None, help="comma-separated subset of naive,gbt,ebm,stacked"
+        "--models", default=None, help="comma-separated subset of " + ",".join(KINDS)
     )
     p.set_defaults(func=cmd_evaluate)
 
@@ -214,35 +217,27 @@ def _aligned(args) -> tuple[Dataset, int]:
     return align_horizon(_load_dataset(args), horizon), horizon
 
 
-def _gbt_config(args, seed: int) -> GbtConfig:
-    return GbtConfig(
-        n_trees=int(_get(args, "n_trees", 300)),
-        learning_rate=float(_get(args, "learning_rate", 0.1)),
-        gamma=float(_get(args, "gamma", 0.0)),
-        reg_lambda=float(_get(args, "reg_lambda", 1.0)),
-        max_depth=int(_get(args, "max_depth", 6)),
-        min_child_weight=float(_get(args, "min_child_weight", 1.0)),
-        seed=seed,
-    )
+def _config(args, name: str, **given):
+    """CONFIG_DEFAULTS[name] with the ``given`` fields and those whose flags
+    were given replaced; a value the config rejects is a usage error."""
+    base = CONFIG_DEFAULTS[name]
+    for flag, config, field in CONFIG_FLAGS:
+        if config == name and getattr(args, flag, None) is not None:
+            given[field] = getattr(args, flag)
+    try:
+        given = {field: type(getattr(base, field))(v) for field, v in given.items()}
+        return dataclasses.replace(base, **given)
+    except (TypeError, ValueError) as exc:  # InvalidArgumentError is a ValueError
+        raise UsageError(f"bad {name} config: {exc}") from None
 
 
-def _ebm_config(args, seed: int) -> EbmConfig:
-    return EbmConfig(
-        outer_rounds=int(_get(args, "outer_rounds", 500)),
-        learning_rate=float(_get(args, "learning_rate", 0.05)),
-        max_bins=int(_get(args, "max_bins", 256)),
-        max_leaves_per_round=int(_get(args, "max_leaves", 3)),
-        seed=seed,
-    )
-
-
-def _meta_config(args, seed: int) -> GbtConfig:
-    return GbtConfig(
-        n_trees=int(_get(args, "meta_n_trees", 100)),
-        learning_rate=float(_get(args, "meta_learning_rate", 0.1)),
-        max_depth=int(_get(args, "meta_max_depth", 4)),
-        seed=seed,
-    )
+def _kind_config(args, kind: str, horizon: int):
+    """The cfg that KINDS[kind].train takes, from the flags."""
+    if kind == "naive":
+        return horizon
+    if kind == "stacked":
+        return _config(args, "ebm"), _config(args, "meta")
+    return _config(args, kind)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -253,16 +248,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_synth(args) -> None:
-    try:
-        cfg = SyntheticConfig(
-            n_rows=int(_get(args, "n_rows", 2000)),
-            seed=int(_get(args, "seed", 42)),
-            noise_sd=float(_get(args, "noise_sd", 2.0)),
-            spike_prob=float(_get(args, "spike_prob", 0.02)),
-            spike_scale=float(_get(args, "spike_scale", 60.0)),
-        )
-    except InvalidArgumentError as exc:
-        raise UsageError(f"bad synthetic config: {exc}") from None
+    cfg = _config(args, "synth")
     out = _out_dir(args)
     dataset, truth = generate_synthetic(cfg)
     save_csv(dataset, out / "dataset.csv")
@@ -273,128 +259,100 @@ def cmd_synth(args) -> None:
 
 def cmd_train(args) -> None:
     kind = getattr(args, "model", None)
-    if kind not in MODEL_CHOICES:
-        raise UsageError(
-            f"--model must be one of {', '.join(MODEL_CHOICES)}, got {kind!r}"
-        )
-    seed = int(_get(args, "seed", 42))
+    if kind not in KINDS:
+        raise UsageError(f"--model must be one of {', '.join(KINDS)}, got {kind!r}")
     aligned, horizon = _aligned(args)
-    if kind == "naive":
-        model = NaiveModel(horizon_steps=horizon)
-    elif kind == "gbt":
-        model = gbt_train(aligned, _gbt_config(args, seed))
-    elif kind == "ebm":
-        model = ebm_train(aligned, _ebm_config(args, seed))
-    else:
-        model = stacked_train(aligned, _ebm_config(args, seed), _meta_config(args, seed))
+    model = KINDS[kind].train(aligned, _kind_config(args, kind, horizon))
     out = _out_dir(args)
     save_model(model, horizon, out / "model.json")
     print(f"wrote {out / 'model.json'} (kind={kind}, horizon={horizon})")
 
 
-def _predict_rows(kind, model, aligned: Dataset, horizon: int):
-    """Yield (issue_ts, target_ts, prediction) rows."""
-    if kind == "naive":
-        start = model.horizon_steps
-        preds = aligned.target[: aligned.n_rows - start]
-        indices = range(start, aligned.n_rows)
-    else:
-        if kind == "gbt":
-            preds = gbt_predict_batch(model, aligned.features)
-        elif kind == "ebm":
-            preds = ebm_predict_batch(model, aligned.features)
-        else:
-            preds = stacked_predict_batch(model, aligned.features)
-        indices = range(aligned.n_rows)
-    for i, pred in zip(indices, preds):
-        issue = int(aligned.timestamps[i])
-        yield issue, issue + horizon, repr(float(pred))
-
-
-def cmd_predict(args) -> None:
+def _model_and_data(args):
+    """(kind, horizon, model, dataset) from --model and --data, for a model
+    trained on the data's features."""
     model_path = getattr(args, "model", None)
     if not model_path:
         raise UsageError("--model is required")
     kind, horizon, model = load_model(model_path)
-    raw = _load_dataset(args)
+    d = _load_dataset(args)
+    schema = getattr(model, "schema", d.schema)  # naive reads only the target
+    if schema != d.schema:
+        raise SchemaError(
+            f"model {model_path} has features {list(schema.names)}, "
+            f"the data {list(d.schema.names)}"
+        )
+    return kind, horizon, model, d
+
+
+def cmd_predict(args) -> None:
+    kind, horizon, model, raw = _model_and_data(args)
     aligned = align_horizon(raw, horizon)
+    # The persistence forecast needs horizon_steps rows of history.
+    rows = slice(getattr(model, "horizon_steps", 0), aligned.n_rows)
+    preds = KINDS[kind].predict(model, aligned, rows)
     out = _out_dir(args)
     _write_csv(
         out / "predictions.csv",
         ["issue_timestamp", "target_timestamp", "prediction"],
-        _predict_rows(kind, model, aligned, horizon),
+        (
+            [int(issue), int(issue) + horizon, repr(float(pred))]
+            for issue, pred in zip(aligned.timestamps[rows], preds)
+        ),
     )
     print(f"wrote {out / 'predictions.csv'}")
 
 
-def _model_specs(args, names, horizon: int, seed: int):
-    specs = []
-    for name in names:
-        if name == "naive":
-            specs.append(naive_spec(horizon))
-        elif name == "gbt":
-            specs.append(gbt_spec(_gbt_config(args, seed)))
-        elif name == "ebm":
-            specs.append(ebm_spec(_ebm_config(args, seed)))
-        elif name == "stacked":
-            specs.append(stacked_spec(_ebm_config(args, seed), _meta_config(args, seed)))
-        else:
-            raise UsageError(f"unknown model kind {name!r}")
-    return specs
-
-
-def cmd_evaluate(args) -> None:
-    names = [s.strip() for s in _get(args, "models", "naive,gbt,ebm,stacked").split(",") if s.strip()]
-    if not names:
-        raise UsageError("--models lists no model kinds")
-    seed = int(_get(args, "seed", 42))
+def _backtest(args):
+    """(aligned data, horizon, folds, evaluate() keywords) for evaluate and
+    grid; evaluate() keeps its defaults for the options not given."""
     aligned, horizon = _aligned(args)
     initial_train = getattr(args, "initial_train", None)
     test_len = getattr(args, "test_len", None)
     if initial_train is None or test_len is None:
         raise UsageError("--initial-train and --test-len are required")
     folds = expanding_window_folds(aligned.n_rows, int(initial_train), int(test_len))
-    epsilon = float(_get(args, "epsilon", 1e-6))
+    casts = {"epsilon": float, "label": str, "direction": str}
+    given = {name: getattr(args, name, None) for name in casts}
+    options = {name: casts[name](v) for name, v in given.items() if v is not None}
+    return aligned, horizon, folds, options
+
+
+def cmd_evaluate(args) -> None:
+    names = [s.strip() for s in _get(args, "models", ",".join(KINDS)).split(",") if s.strip()]
+    if not names:
+        raise UsageError("--models lists no model kinds")
+    for name in names:
+        if name not in KINDS:
+            raise UsageError(f"unknown model kind {name!r}")
+    aligned, horizon, folds, options = _backtest(args)
     collected: dict[str, np.ndarray] = {}
     report = evaluate(
-        _model_specs(args, names, horizon, seed),
+        [model_spec(name, _kind_config(args, name, horizon)) for name in names],
         aligned,
         folds,
-        epsilon=epsilon,
-        label=str(_get(args, "label", "synthetic")),
-        direction=str(_get(args, "direction", "up")),
         collect_predictions=collected,
+        **options,
     )
     out = _out_dir(args)
     report.to_csv(out / "report.csv")
     (out / "report.txt").write_text(report.format_table() + "\n")
-    idx = collected["__index__"]
-    pred_rows = []
-    for name in names:
-        preds = collected[name]
-        for k, i in enumerate(idx):
-            pred_rows.append(
-                [
-                    name,
-                    int(aligned.timestamps[i]),
-                    repr(float(collected["__actual__"][k])),
-                    repr(float(preds[k])),
-                ]
-            )
+    index, actual = collected["__index__"], collected["__actual__"]
     _write_csv(
         out / "predictions.csv",
         ["model", "issue_timestamp", "actual", "predicted"],
-        pred_rows,
+        (
+            [name, int(aligned.timestamps[i]), repr(float(y)), repr(float(pred))]
+            for name in names
+            for i, y, pred in zip(index, actual, collected[name])
+        ),
     )
     print(report.format_table())
     print(f"wrote {out / 'report.csv'}, {out / 'report.txt'}, {out / 'predictions.csv'}")
 
 
 def cmd_explain(args) -> None:
-    model_path = getattr(args, "model", None)
-    if not model_path:
-        raise UsageError("--model is required")
-    kind, _horizon, model = load_model(model_path)
+    kind, _horizon, model, d = _model_and_data(args)
     if kind != "ebm":
         raise UnsupportedModelError(
             f"explain requires an ebm model file, got kind={kind!r}"
@@ -402,7 +360,6 @@ def cmd_explain(args) -> None:
     out = _out_dir(args)
     row = getattr(args, "row", None)
     if row is None:
-        d = _load_dataset(args)
         ranking = global_importance(model, d)
         _write_csv(
             out / "importance.csv",
@@ -423,7 +380,6 @@ def cmd_explain(args) -> None:
         )
         print(f"wrote {out / 'importance.csv'}, {out / 'shapes.csv'}")
     else:
-        d = _load_dataset(args)
         if not 0 <= row < d.n_rows:
             raise InvalidArgumentError(
                 f"--row {row} out of range for {d.n_rows} rows"
@@ -438,19 +394,18 @@ def cmd_explain(args) -> None:
         print(f"wrote {out / 'local_explanation.csv'}")
 
 
-def _parse_grid_params(param_args, config_cls):
-    field_types = {f.name: f.type for f in dataclasses.fields(config_cls)}
+def _parse_grid_params(param_args, base):
     grid: list[tuple[str, list]] = []
     for raw in param_args:
         if "=" not in raw:
             raise UsageError(f"--param expects name=v1,v2,..., got {raw!r}")
         name, _, values = raw.partition("=")
         name = name.strip().replace("-", "_")
-        if name not in field_types or name == "seed":
+        if name not in {f.name for f in dataclasses.fields(base)}:
             raise UsageError(
-                f"unknown {config_cls.__name__} parameter {name!r}"
+                f"unknown {type(base).__name__} parameter {name!r}"
             )
-        caster = int if field_types[name] in ("int", int) else float
+        caster = type(getattr(base, name))
         try:
             parsed = [caster(v) for v in values.split(",") if v != ""]
         except ValueError:
@@ -465,27 +420,16 @@ def cmd_grid(args) -> None:
     kind = getattr(args, "model", None)
     if kind not in ("gbt", "ebm"):
         raise UsageError(f"grid search supports gbt or ebm, got {kind!r}")
-    config_cls = GbtConfig if kind == "gbt" else EbmConfig
-    grid = _parse_grid_params(getattr(args, "param", None) or [], config_cls)
+    grid = _parse_grid_params(getattr(args, "param", None) or [], CONFIG_DEFAULTS[kind])
     if not grid:
         raise UsageError("grid search needs at least one --param")
-    seed = int(_get(args, "seed", 42))
-    aligned, horizon = _aligned(args)
-    initial_train = getattr(args, "initial_train", None)
-    test_len = getattr(args, "test_len", None)
-    if initial_train is None or test_len is None:
-        raise UsageError("--initial-train and --test-len are required")
-    folds = expanding_window_folds(aligned.n_rows, int(initial_train), int(test_len))
-    epsilon = float(_get(args, "epsilon", 1e-6))
+    aligned, _horizon, folds, options = _backtest(args)
     names = [name for name, _ in grid]
     results = []
     for combo in itertools.product(*(values for _, values in grid)):
-        overrides = dict(zip(names, combo))
-        cfg = config_cls(**overrides, seed=seed)
-        spec = gbt_spec(cfg) if kind == "gbt" else ebm_spec(cfg)
-        report = evaluate([spec], aligned, folds, epsilon=epsilon)
-        metrics = report.rows[0].metrics
-        results.append((combo, metrics))
+        spec = model_spec(kind, _config(args, kind, **dict(zip(names, combo))))
+        report = evaluate([spec], aligned, folds, **options)
+        results.append((combo, report.rows[0].metrics))
     results.sort(key=lambda r: (r[1].mae, r[0]))
     out = _out_dir(args)
     _write_csv(

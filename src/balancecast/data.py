@@ -79,6 +79,15 @@ class FeatureSchema:
     def __len__(self) -> int:
         return len(self.names)
 
+    def check_features(self, x, ndim: int) -> np.ndarray:
+        """``x`` as float64: one feature row (``ndim`` 1) or a matrix of rows (2)."""
+        a = np.asarray(x, dtype=np.float64)
+        if a.ndim != ndim or a.shape[-1] != len(self):
+            raise SchemaError(
+                f"expected {ndim}-D features with {len(self)} columns, got shape {a.shape}"
+            )
+        return a
+
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)

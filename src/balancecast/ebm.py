@@ -29,7 +29,6 @@ class EbmConfig:
     learning_rate: float = 0.05
     max_bins: int = 256
     max_leaves_per_round: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if self.outer_rounds < 0:
@@ -234,15 +233,6 @@ def ebm_train(d: Dataset, cfg: EbmConfig = EbmConfig()) -> EbmModel:
     )
 
 
-def _check_row(x, schema: FeatureSchema) -> np.ndarray:
-    row = np.asarray(x, dtype=np.float64)
-    if row.ndim != 1 or row.shape[0] != len(schema):
-        raise SchemaError(
-            f"expected a feature row of length {len(schema)}, got shape {row.shape}"
-        )
-    return row
-
-
 def _contribution(m: EbmModel, j: int, value: float) -> float:
     b = int(m.bins.bin_index(j, value))
     return float(m.shapes[j].values[b])
@@ -254,7 +244,7 @@ def ebm_predict(m: EbmModel, x) -> float:
     The accumulation order matches :func:`explain_local`, so folding the
     explanation back onto the intercept reproduces this value bit for bit.
     """
-    row = _check_row(x, m.schema)
+    row = m.schema.check_features(x, 1)
     acc = m.intercept
     for j in range(len(m.schema)):
         acc += _contribution(m, j, row[j])
@@ -262,11 +252,7 @@ def ebm_predict(m: EbmModel, x) -> float:
 
 
 def ebm_predict_batch(m: EbmModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != len(m.schema):
-        raise SchemaError(
-            f"expected a matrix with {len(m.schema)} columns, got shape {x.shape}"
-        )
+    x = m.schema.check_features(x, 2)
     acc = np.full(x.shape[0], m.intercept)
     for j in range(len(m.schema)):
         acc += m.shapes[j].values[m.bins.bin_index(j, x[:, j])]
@@ -275,7 +261,7 @@ def ebm_predict_batch(m: EbmModel, x: np.ndarray) -> np.ndarray:
 
 def explain_local(m: EbmModel, x) -> list[tuple[str, float]]:
     """Per-feature additive contributions for one input row."""
-    row = _check_row(x, m.schema)
+    row = m.schema.check_features(x, 1)
     return [
         (m.schema.names[j], _contribution(m, j, row[j]))
         for j in range(len(m.schema))
@@ -338,6 +324,8 @@ def ebm_to_dict(m: EbmModel) -> dict:
 
 
 def ebm_from_dict(doc: dict) -> EbmModel:
+    config = dict(doc["config"])
+    config.pop("seed", None)  # an unused field that older model files still carry
     schema = FeatureSchema(
         names=tuple(doc["schema"]["names"]), kinds=tuple(doc["schema"]["kinds"])
     )
@@ -355,5 +343,5 @@ def ebm_from_dict(doc: dict) -> EbmModel:
         shapes=shapes,
         bins=bins,
         schema=schema,
-        config=EbmConfig(**doc["config"]),
+        config=EbmConfig(**config),
     )

@@ -17,12 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baseline import NaiveModel
 from .data import Dataset
-from .ebm import EbmConfig, ebm_predict_batch, ebm_train
-from .errors import InsufficientHistoryError, InvalidArgumentError
-from .gbt import GbtConfig, gbt_predict_batch, gbt_train
-from .stacking import META_GBT_DEFAULTS, stacked_predict_batch, stacked_train
+from .errors import InvalidArgumentError
+from .persistence import KINDS
 
 
 @dataclass(frozen=True)
@@ -126,49 +123,16 @@ class ModelSpec:
     fit: Callable[[Dataset], Predictor]
 
 
-def naive_spec(horizon_steps: int, label: str = "naive") -> ModelSpec:
-    model = NaiveModel(horizon_steps=horizon_steps)
+def model_spec(kind: str, cfg) -> ModelSpec:
+    """Spec labelled ``kind`` that trains ``KINDS[kind]`` with ``cfg`` on each
+    fold; :class:`ModelKind` says which cfg each kind takes."""
+    entry = KINDS[kind]
 
-    def fit(_train: Dataset) -> Predictor:
-        def predict(d: Dataset, idx: np.ndarray) -> np.ndarray:
-            if idx.min() < model.horizon_steps:
-                raise InsufficientHistoryError(
-                    f"naive forecast at row {int(idx.min())} needs "
-                    f"{model.horizon_steps} rows of history"
-                )
-            return d.target[idx - model.horizon_steps]
-
-        return predict
-
-    return ModelSpec(label=label, fit=fit)
-
-
-def gbt_spec(cfg: GbtConfig = GbtConfig(), label: str = "gbt") -> ModelSpec:
     def fit(train: Dataset) -> Predictor:
-        model = gbt_train(train, cfg)
-        return lambda d, idx: gbt_predict_batch(model, d.features[idx])
+        model = entry.train(train, cfg)
+        return lambda d, idx: entry.predict(model, d, idx)
 
-    return ModelSpec(label=label, fit=fit)
-
-
-def ebm_spec(cfg: EbmConfig = EbmConfig(), label: str = "ebm") -> ModelSpec:
-    def fit(train: Dataset) -> Predictor:
-        model = ebm_train(train, cfg)
-        return lambda d, idx: ebm_predict_batch(model, d.features[idx])
-
-    return ModelSpec(label=label, fit=fit)
-
-
-def stacked_spec(
-    ebm_cfg: EbmConfig = EbmConfig(),
-    gbt_cfg: GbtConfig = META_GBT_DEFAULTS,
-    label: str = "stacked",
-) -> ModelSpec:
-    def fit(train: Dataset) -> Predictor:
-        model = stacked_train(train, ebm_cfg, gbt_cfg)
-        return lambda d, idx: stacked_predict_batch(model, d.features[idx])
-
-    return ModelSpec(label=label, fit=fit)
+    return ModelSpec(label=kind, fit=fit)
 
 
 @dataclass(frozen=True)

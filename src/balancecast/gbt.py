@@ -16,12 +16,11 @@ deterministic and invariant to row order.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, FeatureSchema
-from .errors import DegenerateLeafError, InvalidArgumentError, SchemaError
+from .errors import DegenerateLeafError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class GbtConfig:
     reg_lambda: float = 1.0
     max_depth: int = 6
     min_child_weight: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 0:
@@ -55,19 +53,6 @@ class GbtConfig:
             raise InvalidArgumentError(
                 f"min_child_weight must be >= 0, got {self.min_child_weight}"
             )
-
-
-@dataclass(frozen=True)
-class GradHess:
-    """First and second derivative of the loss at one sample."""
-
-    g: float
-    h: float
-
-
-def grad_hess_squared_loss(y: float, y_hat: float) -> GradHess:
-    """Derivatives of 1/2 (y - y_hat)^2 with respect to y_hat."""
-    return GradHess(g=float(y_hat) - float(y), h=1.0)
 
 
 def _score(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -244,16 +229,16 @@ def _grow(
     )
 
 
-def fit_tree(d: Dataset, gh: Sequence[GradHess], cfg: GbtConfig) -> TreeNode:
-    """Grow one regression tree on per-sample gradient/Hessian pairs."""
-    if d.n_rows == 0 or len(gh) == 0:
+def fit_tree(d: Dataset, g, h, cfg: GbtConfig) -> TreeNode:
+    """Grow one regression tree on per-sample gradients ``g`` and Hessians ``h``."""
+    g = np.asarray(g, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    if d.n_rows == 0 or len(g) == 0:
         raise InvalidArgumentError("cannot fit a tree on an empty dataset")
-    if len(gh) != d.n_rows:
+    if len(g) != d.n_rows or len(h) != d.n_rows:
         raise InvalidArgumentError(
-            f"{len(gh)} gradient pairs for {d.n_rows} rows"
+            f"{len(g)} gradients and {len(h)} Hessians for {d.n_rows} rows"
         )
-    g = np.asarray([p.g for p in gh], dtype=np.float64)
-    h = np.asarray([p.h for p in gh], dtype=np.float64)
     return _grow(d.features, g, h, np.arange(d.n_rows), 0, cfg)
 
 
@@ -300,18 +285,9 @@ def gbt_train(d: Dataset, cfg: GbtConfig = GbtConfig()) -> GbtModel:
     )
 
 
-def _check_row(x, schema: FeatureSchema) -> np.ndarray:
-    row = np.asarray(x, dtype=np.float64)
-    if row.ndim != 1 or row.shape[0] != len(schema):
-        raise SchemaError(
-            f"expected a feature row of length {len(schema)}, got shape {row.shape}"
-        )
-    return row
-
-
 def gbt_predict(m: GbtModel, x) -> float:
     """base_score plus the learning-rate-scaled sum of tree outputs."""
-    row = _check_row(x, m.schema)
+    row = m.schema.check_features(x, 1)
     acc = m.base_score
     for tree in m.trees:
         acc += m.config.learning_rate * tree.predict_row(row)
@@ -319,11 +295,7 @@ def gbt_predict(m: GbtModel, x) -> float:
 
 
 def gbt_predict_batch(m: GbtModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != len(m.schema):
-        raise SchemaError(
-            f"expected a matrix with {len(m.schema)} columns, got shape {x.shape}"
-        )
+    x = m.schema.check_features(x, 2)
     acc = np.full(x.shape[0], m.base_score)
     for tree in m.trees:
         acc += m.config.learning_rate * tree_predict(tree, x)
@@ -340,12 +312,14 @@ def gbt_to_dict(m: GbtModel) -> dict:
 
 
 def gbt_from_dict(doc: dict) -> GbtModel:
+    config = dict(doc["config"])
+    config.pop("seed", None)  # an unused field that older model files still carry
     schema = FeatureSchema(
         names=tuple(doc["schema"]["names"]), kinds=tuple(doc["schema"]["kinds"])
     )
     return GbtModel(
         trees=tuple(TreeNode.from_dict(t) for t in doc["trees"]),
         base_score=float(doc["base_score"]),
-        config=GbtConfig(**doc["config"]),
+        config=GbtConfig(**config),
         schema=schema,
     )

@@ -16,28 +16,24 @@ from balancecast import (
     EbmConfig,
     FeatureSchema,
     GbtConfig,
-    GradHess,
     SyntheticConfig,
     align_horizon,
     bin_centers,
     compute_metrics,
     ebm_predict,
     ebm_predict_batch,
-    ebm_spec,
     ebm_train,
     evaluate,
     expanding_window_folds,
     explain_local,
     filter_deviation_events,
     fit_tree,
-    gbt_spec,
     gbt_train,
     generate_synthetic,
     global_importance,
     leaf_weight,
-    naive_spec,
+    model_spec,
     stacked_predict_batch,
-    stacked_spec,
     stacked_train,
 )
 from balancecast.cli import main as cli_main
@@ -95,7 +91,7 @@ def test_criterion_1_gbt_split_oracle():
             timestamps=np.arange(n), features=x, target=np.zeros(n), schema=schema
         )
         cfg = GbtConfig(max_depth=1, reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
-        root = fit_tree(d, [GradHess(float(v), 1.0) for v in g], cfg)
+        root = fit_tree(d, g, h, cfg)
         gains = oracle_all_candidates(x, g, h, lam, gamma)
         best = max(gains) if gains else None
         if best is None or best <= 0.0:
@@ -226,10 +222,10 @@ def test_criterion_6_model_ordering(aligned_spiky, spiky_data):
     meta_cfg = GbtConfig(n_trees=40, max_depth=3)
     report = evaluate(
         [
-            naive_spec(32),
-            gbt_spec(GbtConfig(n_trees=120, max_depth=3, learning_rate=0.1)),
-            ebm_spec(ebm_cfg),
-            stacked_spec(stack_ebm_cfg, meta_cfg),
+            model_spec("naive", 32),
+            model_spec("gbt", GbtConfig(n_trees=120, max_depth=3, learning_rate=0.1)),
+            model_spec("ebm", ebm_cfg),
+            model_spec("stacked", (stack_ebm_cfg, meta_cfg)),
         ],
         aligned_spiky,
         folds,
@@ -288,11 +284,14 @@ def test_criterion_7_deviation_event_degradation():
     folds = expanding_window_folds(aligned.n_rows, 1200, 384)
     report = evaluate(
         [
-            gbt_spec(GbtConfig(n_trees=120, max_depth=3, learning_rate=0.1)),
-            ebm_spec(EbmConfig(outer_rounds=120, learning_rate=0.25, max_bins=48)),
-            stacked_spec(
-                EbmConfig(outer_rounds=80, learning_rate=0.25, max_bins=48),
-                GbtConfig(n_trees=40, max_depth=3),
+            model_spec("gbt", GbtConfig(n_trees=120, max_depth=3, learning_rate=0.1)),
+            model_spec("ebm", EbmConfig(outer_rounds=120, learning_rate=0.25, max_bins=48)),
+            model_spec(
+                "stacked",
+                (
+                    EbmConfig(outer_rounds=80, learning_rate=0.25, max_bins=48),
+                    GbtConfig(n_trees=40, max_depth=3),
+                ),
             ),
         ],
         aligned,

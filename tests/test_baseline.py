@@ -8,7 +8,6 @@ from balancecast import (
     InvalidArgumentError,
     NaiveModel,
     naive_forecast,
-    naive_forecast_series,
 )
 
 
@@ -47,9 +46,9 @@ def test_horizon_validation():
 def test_vectorized_equivalence(series, h):
     if h >= len(series):
         with pytest.raises(InsufficientHistoryError):
-            naive_forecast_series(series, h)
+            naive_forecast(series, h, slice(h, None))
         return
-    vec = naive_forecast_series(series, h)
+    vec = naive_forecast(series, h, slice(h, None))
     per_index = [naive_forecast(series, h, t) for t in range(h, len(series))]
     assert np.array_equal(vec, np.asarray(per_index))
 
@@ -57,5 +56,5 @@ def test_vectorized_equivalence(series, h):
 def test_constant_series_zero_mae():
     series = np.full(50, 7.0)
     for h in (1, 8, 32):
-        forecasts = naive_forecast_series(series, h)
+        forecasts = naive_forecast(series, h, slice(h, None))
         assert np.mean(np.abs(forecasts - series[h:])) == 0.0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,22 @@ from balancecast.cli import main
 from balancecast.data import align_horizon
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def run_process(*argv):
+    """Run the CLI in a child process; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "balancecast", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +112,7 @@ class TestTrain:
 
         memory = ebm_train(
             aligned,
-            EbmConfig(outer_rounds=8, learning_rate=0.05, max_bins=16, seed=42),
+            EbmConfig(outer_rounds=8, learning_rate=0.05, max_bins=16),
         )
         rows = aligned.features[:100]
         assert np.array_equal(
@@ -135,6 +153,62 @@ class TestPredict:
         assert len(lines) == 1 + 668
         issue, target_ts, _ = lines[1].split(",")
         assert int(target_ts) - int(issue) == 32
+
+
+def _rename_features(doc):
+    doc["model"]["schema"]["names"] = [n.upper() for n in doc["model"]["schema"]["names"]]
+
+
+def _add_config_key(doc):
+    doc["model"]["config"]["bogus"] = 1
+
+
+MALFORMED = {
+    "missing-model": lambda doc: doc.pop("model"),
+    "missing-trees": lambda doc: doc["model"].pop("trees"),
+    "json-list": None,
+    "unknown-config-key": _add_config_key,
+    "renamed-features": _rename_features,
+}
+
+
+class TestMalformedModel:
+    @pytest.fixture(scope="class")
+    def gbt_doc(self, data_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("gbt_model")
+        assert run(
+            "train", "--data", str(data_dir / "dataset.csv"), "--model", "gbt",
+            "--out", str(out), "--n-trees", "2", "--max-depth", "2",
+        ) == 0
+        return json.loads((out / "model.json").read_text())
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_predict_exits_3_without_traceback(self, data_dir, tmp_path, gbt_doc, case):
+        doc = json.loads(json.dumps(gbt_doc))
+        if MALFORMED[case] is None:
+            doc = [doc]
+        else:
+            MALFORMED[case](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, stderr = run_process(
+            "predict", "--data", str(data_dir / "dataset.csv"),
+            "--model", str(path), "--out", str(tmp_path / "p"),
+        )
+        assert code == 3, stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
+    def test_explain_rejects_renamed_features(self, data_dir, tmp_path, ebm_model):
+        doc = json.loads(ebm_model.read_text())
+        _rename_features(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code = run(
+            "explain", "--model", str(path), "--data", str(data_dir / "dataset.csv"),
+            "--row", "3", "--out", str(tmp_path / "x"),
+        )
+        assert code == 3
 
 
 class TestEvaluate:
@@ -277,6 +351,32 @@ class TestGrid:
             "grid", "--data", str(data_dir / "dataset.csv"), "--model", "naive",
             "--param", "n_trees=1", "--initial-train", "500",
             "--test-len", "168", "--out", str(tmp_path),
+        )
+        assert code == 2
+
+
+class TestBadHyperparameters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--model", "gbt", "--n-trees", "-1"],
+            ["train", "--model", "stacked", "--meta-max-depth", "0"],
+            ["evaluate", "--models", "ebm", "--max-bins", "1",
+             "--initial-train", "500", "--test-len", "168"],
+            ["grid", "--model", "ebm", "--param", "max_bins=1",
+             "--initial-train", "500", "--test-len", "168"],
+        ],
+    )
+    def test_rejected_value_is_usage_error(self, data_dir, tmp_path, argv):
+        code = run(*argv, "--data", str(data_dir / "dataset.csv"), "--out", str(tmp_path))
+        assert code == 2
+
+    def test_config_file_value_of_wrong_type_is_usage_error(self, data_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_trees": "many"}))
+        code = run(
+            "train", "--model", "gbt", "--config", str(cfg),
+            "--data", str(data_dir / "dataset.csv"), "--out", str(tmp_path),
         )
         assert code == 2
 

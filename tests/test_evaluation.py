@@ -15,12 +15,10 @@ from balancecast import (
     Metrics,
     ModelSpec,
     compute_metrics,
-    ebm_spec,
     evaluate,
     expanding_window_folds,
     filter_deviation_events,
-    gbt_spec,
-    naive_spec,
+    model_spec,
 )
 from balancecast.data import CONTINUOUS
 
@@ -241,7 +239,7 @@ class TestEvaluate:
         d = tiny_dataset(n=60, seed=3)
         folds = expanding_window_folds(d.n_rows, 30, 10)
         report = evaluate(
-            [oracle_spec(), naive_spec(4), mean_spec()], d, folds, epsilon=0.1
+            [oracle_spec(), model_spec("naive", 4), mean_spec()], d, folds, epsilon=0.1
         )
         rows = {(r.model, r.filtered): r.metrics for r in report.rows}
         oracle = rows[("oracle", False)]
@@ -294,9 +292,9 @@ class TestEvaluate:
         folds = expanding_window_folds(sub.n_rows, 350, 75)
         report = evaluate(
             [
-                naive_spec(32),
-                gbt_spec(GbtConfig(n_trees=10, max_depth=3)),
-                ebm_spec(EbmConfig(outer_rounds=10, learning_rate=0.3, max_bins=16)),
+                model_spec("naive", 32),
+                model_spec("gbt", GbtConfig(n_trees=10, max_depth=3)),
+                model_spec("ebm", EbmConfig(outer_rounds=10, learning_rate=0.3, max_bins=16)),
             ],
             sub,
             folds,

@@ -11,7 +11,6 @@ from balancecast import (
     FeatureSchema,
     GbtConfig,
     GbtModel,
-    GradHess,
     InvalidArgumentError,
     SchemaError,
     TreeNode,
@@ -21,7 +20,6 @@ from balancecast import (
     gbt_predict_batch,
     gbt_to_dict,
     gbt_train,
-    grad_hess_squared_loss,
     leaf_weight,
     split_gain,
 )
@@ -99,22 +97,6 @@ def leaf_members(root, x):
     return list(members.values())
 
 
-class TestGradHess:
-    def test_zero_residual(self):
-        assert grad_hess_squared_loss(1.0, 1.0) == GradHess(0.0, 1.0)
-
-    def test_positive_residual(self):
-        # d/dyhat 1/2 (y - yhat)^2 = yhat - y = 2 at (0, 2).
-        assert grad_hess_squared_loss(0.0, 2.0) == GradHess(2.0, 1.0)
-
-    def test_negative_residual(self):
-        assert grad_hess_squared_loss(5.0, 2.0) == GradHess(-3.0, 1.0)
-
-    @given(y=st.floats(-1e6, 1e6), y_hat=st.floats(-1e6, 1e6))
-    def test_hessian_always_one(self, y, y_hat):
-        assert grad_hess_squared_loss(y, y_hat).h == 1.0
-
-
 class TestSplitGain:
     def test_zero_gradients(self):
         assert split_gain(0, 1, 0, 1, 0, 0) == 0.0
@@ -169,8 +151,7 @@ class TestLeafWeight:
 class TestFitTree:
     def test_equal_gradients_single_leaf(self):
         d = dataset_for([[0.0], [1.0], [2.0], [3.0]])
-        gh = [GradHess(1.0, 1.0)] * 4
-        root = fit_tree(d, gh, GbtConfig(reg_lambda=0.0, min_child_weight=0.0))
+        root = fit_tree(d, np.ones(4), np.ones(4), GbtConfig(reg_lambda=0.0, min_child_weight=0.0))
         assert root.is_leaf
         assert root.weight == -1.0
 
@@ -178,9 +159,9 @@ class TestFitTree:
         # g = [-1,-1,1,1] at x = [0,1,2,3]: candidate gains are 2/3, 2.0 and
         # 2/3, so the winner is the midpoint 1.5 with leaf weights +1 / -1.
         d = dataset_for([[0.0], [1.0], [2.0], [3.0]])
-        gh = [GradHess(g, 1.0) for g in (-1.0, -1.0, 1.0, 1.0)]
+        g = np.array([-1.0, -1.0, 1.0, 1.0])
         cfg = GbtConfig(reg_lambda=0.0, gamma=0.0, min_child_weight=0.0)
-        root = fit_tree(d, gh, cfg)
+        root = fit_tree(d, g, np.ones(4), cfg)
         assert not root.is_leaf
         assert 1.0 < root.threshold < 2.0
         assert root.left.weight == 1.0
@@ -189,19 +170,19 @@ class TestFitTree:
     def test_max_depth_respected(self):
         rng = np.random.default_rng(0)
         d = dataset_for(rng.normal(size=(30, 2)))
-        gh = [GradHess(float(g), 1.0) for g in rng.normal(size=30)]
-        root = fit_tree(d, gh, GbtConfig(max_depth=1, min_child_weight=0.0))
+        g = rng.normal(size=30)
+        root = fit_tree(d, g, np.ones(30), GbtConfig(max_depth=1, min_child_weight=0.0))
         assert root.depth() <= 1
 
     def test_empty_dataset_rejected(self):
         d = dataset_for(np.zeros((0, 1)).reshape(0, 1))
         with pytest.raises(InvalidArgumentError):
-            fit_tree(d, [], GbtConfig())
+            fit_tree(d, [], [], GbtConfig())
 
     def test_gh_length_mismatch(self):
         d = dataset_for([[0.0], [1.0]])
         with pytest.raises(InvalidArgumentError):
-            fit_tree(d, [GradHess(1.0, 1.0)], GbtConfig())
+            fit_tree(d, [1.0], [1.0], GbtConfig())
 
     @pytest.mark.parametrize("seed", range(12))
     def test_root_split_matches_exhaustive_enumeration(self, seed):
@@ -218,7 +199,7 @@ class TestFitTree:
             max_depth=1, reg_lambda=lam, gamma=gamma, min_child_weight=0.0
         )
         d = dataset_for(x)
-        root = fit_tree(d, [GradHess(float(v), 1.0) for v in g], cfg)
+        root = fit_tree(d, g, h, cfg)
         best = oracle_best_split(x, g, h, lam, gamma)
         if best is None or best[0] <= 0.0:
             assert root.is_leaf
