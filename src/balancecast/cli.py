@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric/training error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import itertools
 import json
@@ -30,6 +29,7 @@ from .data import (
     save_csv,
     save_truth_json,
     synthetic_schema,
+    write_csv_lines,
 )
 from .ebm import EbmConfig, ebm_predict, explain_local, export_shapes, global_importance
 from .errors import (
@@ -170,6 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="name=v1,v2,... (repeatable)",
     )
     p.set_defaults(func=cmd_grid)
+    for p in sub.choices.values():
+        # A config-file value is cast with the type of the flag it stands for.
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type})
     return parser
 
 
@@ -189,8 +192,14 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise UsageError(f"config file {path}: unknown key {key!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        if getattr(args, dest) is None and value is not None:
+            cast = args.flag_types.get(dest)
+            try:
+                setattr(args, dest, value if cast is None else cast(value))
+            except (TypeError, ValueError, OverflowError):
+                raise UsageError(
+                    f"config file {path}: bad value {value!r} for {key!r}"
+                ) from None
     return args
 
 
@@ -213,7 +222,7 @@ def _load_dataset(args) -> Dataset:
 
 
 def _aligned(args) -> tuple[Dataset, int]:
-    horizon = int(_get(args, "horizon_steps", DEFAULT_HORIZON_STEPS))
+    horizon = _get(args, "horizon_steps", DEFAULT_HORIZON_STEPS)
     return align_horizon(_load_dataset(args), horizon), horizon
 
 
@@ -225,9 +234,8 @@ def _config(args, name: str, **given):
         if config == name and getattr(args, flag, None) is not None:
             given[field] = getattr(args, flag)
     try:
-        given = {field: type(getattr(base, field))(v) for field, v in given.items()}
         return dataclasses.replace(base, **given)
-    except (TypeError, ValueError) as exc:  # InvalidArgumentError is a ValueError
+    except ValueError as exc:  # InvalidArgumentError is a ValueError
         raise UsageError(f"bad {name} config: {exc}") from None
 
 
@@ -238,13 +246,6 @@ def _kind_config(args, kind: str, horizon: int):
     if kind == "stacked":
         return _config(args, "ebm"), _config(args, "meta")
     return _config(args, kind)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_synth(args) -> None:
@@ -292,13 +293,11 @@ def cmd_predict(args) -> None:
     rows = slice(getattr(model, "horizon_steps", 0), aligned.n_rows)
     preds = KINDS[kind].predict(model, aligned, rows)
     out = _out_dir(args)
-    _write_csv(
+    pairs = zip(aligned.timestamps[rows].tolist(), preds.tolist())
+    write_csv_lines(
         out / "predictions.csv",
         ["issue_timestamp", "target_timestamp", "prediction"],
-        (
-            [int(issue), int(issue) + horizon, repr(float(pred))]
-            for issue, pred in zip(aligned.timestamps[rows], preds)
-        ),
+        (f"{issue},{issue + horizon},{pred!r}\n" for issue, pred in pairs),
     )
     print(f"wrote {out / 'predictions.csv'}")
 
@@ -311,7 +310,7 @@ def _backtest(args):
     test_len = getattr(args, "test_len", None)
     if initial_train is None or test_len is None:
         raise UsageError("--initial-train and --test-len are required")
-    folds = expanding_window_folds(aligned.n_rows, int(initial_train), int(test_len))
+    folds = expanding_window_folds(aligned.n_rows, initial_train, test_len)
     casts = {"epsilon": float, "label": str, "direction": str}
     given = {name: getattr(args, name, None) for name in casts}
     options = {name: casts[name](v) for name, v in given.items() if v is not None}
@@ -337,14 +336,15 @@ def cmd_evaluate(args) -> None:
     out = _out_dir(args)
     report.to_csv(out / "report.csv")
     (out / "report.txt").write_text(report.format_table() + "\n")
-    index, actual = collected["__index__"], collected["__actual__"]
-    _write_csv(
+    issued = aligned.timestamps[collected["__index__"]].tolist()
+    actual = collected["__actual__"].tolist()
+    write_csv_lines(
         out / "predictions.csv",
         ["model", "issue_timestamp", "actual", "predicted"],
         (
-            [name, int(aligned.timestamps[i]), repr(float(y)), repr(float(pred))]
+            f"{name},{issue},{y!r},{pred!r}\n"
             for name in names
-            for i, y, pred in zip(index, actual, collected[name])
+            for issue, y, pred in zip(issued, actual, collected[name].tolist())
         ),
     )
     print(report.format_table())
@@ -361,22 +361,19 @@ def cmd_explain(args) -> None:
     row = getattr(args, "row", None)
     if row is None:
         ranking = global_importance(model, d)
-        _write_csv(
+        write_csv_lines(
             out / "importance.csv",
             ["rank", "feature", "mac"],
-            (
-                [rank + 1, name, repr(mac)]
-                for rank, (name, mac) in enumerate(ranking)
-            ),
+            (f"{rank + 1},{name},{mac!r}\n" for rank, (name, mac) in enumerate(ranking)),
         )
-        shape_rows = []
-        for name, table in export_shapes(model).items():
-            for lower, upper, contribution in table:
-                shape_rows.append([name, repr(lower), repr(upper), repr(contribution)])
-        _write_csv(
+        write_csv_lines(
             out / "shapes.csv",
             ["feature", "bin_lower", "bin_upper", "contribution"],
-            shape_rows,
+            (
+                f"{name},{lower!r},{upper!r},{contribution!r}\n"
+                for name, table in export_shapes(model).items()
+                for lower, upper, contribution in table
+            ),
         )
         print(f"wrote {out / 'importance.csv'}, {out / 'shapes.csv'}")
     else:
@@ -387,10 +384,14 @@ def cmd_explain(args) -> None:
         x = d.features[row]
         contributions = explain_local(model, x)
         prediction = ebm_predict(model, x)
-        rows = [[name, repr(c)] for name, c in contributions]
-        rows.append(["__intercept__", repr(model.intercept)])
-        rows.append(["__prediction__", repr(prediction)])
-        _write_csv(out / "local_explanation.csv", ["feature", "contribution"], rows)
+        rows = [
+            *contributions, ("__intercept__", model.intercept), ("__prediction__", prediction)
+        ]
+        write_csv_lines(
+            out / "local_explanation.csv",
+            ["feature", "contribution"],
+            (f"{name},{c!r}\n" for name, c in rows),
+        )
         print(f"wrote {out / 'local_explanation.csv'}")
 
 
@@ -432,12 +433,12 @@ def cmd_grid(args) -> None:
         results.append((combo, report.rows[0].metrics))
     results.sort(key=lambda r: (r[1].mae, r[0]))
     out = _out_dir(args)
-    _write_csv(
+    write_csv_lines(
         out / "grid.csv",
         [*names, "mae", "rmse", "r2"],
         (
-            [*(repr(v) if isinstance(v, float) else v for v in combo),
-             repr(m.mae), repr(m.rmse), "" if m.r2 is None else repr(m.r2)]
+            f"{','.join(map(repr, combo))},{m.mae!r},{m.rmse!r},"
+            f"{'' if m.r2 is None else repr(m.r2)}\n"
             for combo, m in results
         ),
     )

@@ -27,7 +27,8 @@ class Metrics:
     """MAE, RMSE, and coefficient of determination.
 
     ``r2`` is None when the evaluated targets are constant, in which case
-    the usual definition divides by zero; MAE and RMSE are still valid.
+    the usual definition divides by zero, or vary so little that the ratio
+    overflows; MAE and RMSE are still valid.
     """
 
     mae: float
@@ -53,7 +54,7 @@ def compute_metrics(y, y_hat) -> Metrics:
     if ss_tot == 0.0:
         return Metrics(mae=mae, rmse=rmse, r2=None)
     r2 = 1.0 - float(np.sum(err**2)) / ss_tot
-    return Metrics(mae=mae, rmse=rmse, r2=r2)
+    return Metrics(mae=mae, rmse=rmse, r2=r2 if np.isfinite(r2) else None)
 
 
 @dataclass(frozen=True)

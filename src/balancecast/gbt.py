@@ -15,6 +15,7 @@ deterministic and invariant to row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -56,11 +57,11 @@ class GbtConfig:
 
 
 def _score(g_sum: float, h_sum: float, reg_lambda: float) -> float:
-    # A side with zero regularized Hessian mass contributes nothing.
+    # A side with zero regularized Hessian mass, or so little that the score
+    # overflows, contributes nothing.
     denom = h_sum + reg_lambda
-    if denom == 0.0:
-        return 0.0
-    return g_sum * g_sum / denom
+    score = 0.0 if denom == 0.0 else g_sum * g_sum / denom
+    return score if math.isfinite(score) else 0.0
 
 
 def split_gain(

@@ -92,7 +92,10 @@ def save_model(model, horizon_steps: int, path) -> None:
 def load_model(path):
     """Returns (kind, horizon_steps, model); a malformed file raises SchemaError."""
     with Path(path).open("r") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise SchemaError(f"model file {path} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"model file {path} must hold a JSON object")
     kind = next((k for k in KINDS.values() if k.name == doc.get("kind")), None)
@@ -100,5 +103,5 @@ def load_model(path):
         raise UnsupportedModelError(f"unknown model kind {doc.get('kind')!r} in {path}")
     try:
         return kind.name, int(doc["horizon_steps"]), kind.from_dict(doc["model"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed {kind.name} model file {path}: {exc!r}") from None

@@ -155,6 +155,23 @@ class TestPredict:
         assert int(target_ts) - int(issue) == 32
 
 
+    def test_timestamp_outside_int64_exits_3(self, data_dir, tmp_path, capsys):
+        assert run(
+            "train", "--data", str(data_dir / "dataset.csv"), "--model", "naive",
+            "--out", str(tmp_path / "m"),
+        ) == 0
+        lines = (data_dir / "dataset.csv").read_text().splitlines(keepends=True)
+        lines[5] = "99999999999999999999" + lines[5][lines[5].index(","):]
+        data = tmp_path / "dataset.csv"
+        data.write_text("".join(lines))
+        code = run(
+            "predict", "--data", str(data), "--model", str(tmp_path / "m" / "model.json"),
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 3
+        assert "row 5: bad timestamp '99999999999999999999'" in capsys.readouterr().err
+
+
 def _rename_features(doc):
     doc["model"]["schema"]["names"] = [n.upper() for n in doc["model"]["schema"]["names"]]
 
@@ -198,6 +215,21 @@ class TestMalformedModel:
         assert code == 3, stderr
         assert "Traceback" not in stderr
         assert not (tmp_path / "p" / "predictions.csv").exists()
+
+    def test_tree_nested_too_deeply(self, data_dir, tmp_path, gbt_doc):
+        depth = 1200
+        deep = ('{"feature": 0, "threshold": 0.0, "left": ' * depth + '{"weight": 0.0}'
+                + ', "right": {"weight": 1.0}}' * depth)
+        doc = json.loads(json.dumps(gbt_doc))
+        doc["model"]["trees"] = ["DEEP"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"DEEP"', deep))
+        code, stderr = run_process(
+            "predict", "--data", str(data_dir / "dataset.csv"),
+            "--model", str(path), "--out", str(tmp_path / "p"),
+        )
+        assert code == 3, stderr
+        assert "Traceback" not in stderr and "nested too deeply" in stderr
 
     def test_explain_rejects_renamed_features(self, data_dir, tmp_path, ebm_model):
         doc = json.loads(ebm_model.read_text())
@@ -382,6 +414,21 @@ class TestBadHyperparameters:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "key", ["epsilon", "horizon_steps", "initial_train", "test_len"]
+    )
+    def test_value_of_wrong_type_exits_2(self, data_dir, tmp_path, key):
+        values = {"epsilon": 20, "horizon_steps": 32, "initial_train": 400, "test_len": 134}
+        values[key] = "abc"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, stderr = run_process(
+            "evaluate", "--config", str(cfg), "--data", str(data_dir / "dataset.csv"),
+            "--models", "naive", "--out", str(tmp_path / "e"),
+        )
+        assert code == 2, stderr
+        assert "Traceback" not in stderr and f"bad value 'abc' for '{key}'" in stderr
+
     def test_flags_override_config_file(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_rows": 50, "seed": 1, "noise_sd": 0.0}))

@@ -1,7 +1,12 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from balancecast import data
 
 from balancecast import (
     Dataset,
@@ -22,6 +27,7 @@ from balancecast import (
 from balancecast.data import (
     CONTINUOUS,
     SYNTHETIC_FEATURES,
+    _ar1,
     heating_price_response,
     hydro_price_response,
 )
@@ -189,6 +195,200 @@ class TestCsvRoundTrip:
         assert back.spot_column == d.spot_column
 
 
+def reference_save_csv(d, path):
+    """save_csv as one csv.writer row per dataset row, cell by cell."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["timestamp", *d.schema.names, "target"])
+        for i in range(d.n_rows):
+            row = [str(int(d.timestamps[i]))]
+            row.extend(repr(float(v)) for v in d.features[i])
+            row.append(repr(float(d.target[i])))
+            writer.writerow(row)
+
+
+def reference_load_csv(path, schema):
+    """load_csv parsing and checking one cell at a time."""
+    with path.open("r", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: file is empty") from None
+        expected = ["timestamp", *schema.names, "target"]
+        for col in expected:
+            if col not in header:
+                raise SchemaError(f"{path}: missing column {col!r}")
+        if header != expected:
+            raise SchemaError(
+                f"{path}: header {header!r} does not match expected {expected!r}"
+            )
+        p = len(schema)
+        ts_rows, rows, targets = [], [], []
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != p + 2:
+                raise IngestError(
+                    f"{path}: row {row_no} has {len(row)} cells, expected {p + 2}"
+                )
+            try:
+                ts = int(row[0])
+            except ValueError:
+                raise IngestError(
+                    f"{path}: row {row_no}: bad timestamp {row[0]!r}"
+                ) from None
+            values = []
+            for name, cell in zip((*schema.names, "target"), row[1:]):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise IngestError(
+                        f"{path}: row {row_no}: cannot parse {name}={cell!r}"
+                    ) from None
+                if not np.isfinite(v):
+                    raise IngestError(
+                        f"{path}: row {row_no}: non-finite value in column {name}"
+                    )
+                values.append(v)
+            ts_rows.append(ts)
+            rows.append(values[:-1])
+            targets.append(values[-1])
+    order = np.argsort(np.asarray(ts_rows, dtype=np.int64), kind="stable")
+    timestamps = np.asarray(ts_rows, dtype=np.int64)[order]
+    if len(timestamps) > 1:
+        step = np.diff(timestamps)
+        if (step == 0).any():
+            dup = int(timestamps[int(np.argmax(step == 0))])
+            raise GridError(f"{path}: duplicate timestamp {dup}")
+        if (step != 1).any():
+            after = int(timestamps[int(np.argmax(step != 1))])
+            raise GridError(f"{path}: timestamp gap after quarter {after}")
+    features = np.asarray(rows, dtype=np.float64).reshape(len(rows), p)
+    return timestamps, features[order], np.asarray(targets, dtype=np.float64)[order]
+
+
+def outcome(load, path, schema):
+    """The arrays a loader returns as bytes, or the class and message of
+    what it raises."""
+    try:
+        result = load(path, schema)
+    except (IngestError, SchemaError, GridError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Dataset):
+        result = (result.timestamps, result.features, result.target)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in result)
+
+
+def assert_loads_like_reference(path, schema=None):
+    schema = schema or small_schema()
+    expected = outcome(reference_load_csv, path, schema)
+    assert outcome(load_csv, path, schema) == expected
+    return expected
+
+
+# Finite doubles, weighted towards the values whose repr or parse could go
+# wrong: signed zeros, subnormals, extreme magnitudes and integers.
+SPECIAL_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1e300, -1e300, 1.7976931348623157e308, 1e16, 1e-5]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+def csv_file(path, n_rows, edits=None):
+    """A gap-free csv of ``n_rows`` rows of ``small_schema()``; ``edits``
+    maps 1-based data row numbers to replacement lines."""
+    edits = edits or {}
+    lines = ["timestamp,f0,f1,target"]
+    lines += [edits.get(r, f"{r - 1},1.5,1.5,1.5") for r in range(1, n_rows + 1)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestCsvAgainstReference:
+    @given(
+        p=st.integers(1, 3),
+        cells=st.lists(SPECIAL_FLOATS, min_size=4, max_size=80),
+        start=st.integers(-(2**62), 2**62),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_and_values_match_reference(self, tmp_path_factory, p, cells, start):
+        n = len(cells) // (p + 1)
+        block = np.array(cells[: n * (p + 1)]).reshape(n, p + 1)
+        d = Dataset(
+            timestamps=np.arange(start, start + n),
+            features=block[:, :p],
+            target=block[:, p],
+            schema=small_schema(p),
+        )
+        out = tmp_path_factory.mktemp("csv")
+        save_csv(d, out / "new.csv")
+        reference_save_csv(d, out / "ref.csv")
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+        loaded = assert_loads_like_reference(out / "ref.csv", d.schema)
+        assert loaded == outcome(lambda *_: d, None, None)
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from(["0", "1", "2", " 3 ", "1_0", "-1", "1.5", "-0.0",
+                                 "5e-324", "1e400", "inf", "nan", "x", ""]),
+                max_size=5,
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_cells_match_reference(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text("timestamp,f0,f1,target\n" + "".join(",".join(r) + "\n" for r in rows))
+        with mock.patch.object(data, "_CSV_CHUNK_ROWS", 3):
+            assert_loads_like_reference(path)
+
+    def test_bad_cell_in_first_row_of_second_chunk(self, tmp_path):
+        first = data._CSV_CHUNK_ROWS + 1
+        path = csv_file(tmp_path / "d.csv", first + 5, {first: f"{first - 1},1.5,oops,2.0"})
+        kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and f"row {first}: cannot parse f1='oops'" in message
+
+    def test_short_row_after_bad_cell_in_same_chunk(self, tmp_path):
+        path = csv_file(tmp_path / "d.csv", 50, {10: "9,1.5,x,2.0", 11: "10,1.5"})
+        kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and "row 10: cannot parse f1='x'" in message
+
+    def test_non_finite_cell_before_unparsable_one(self, tmp_path):
+        path = csv_file(tmp_path / "d.csv", 50, {7: "6,inf,x,2.0"})
+        kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and "row 7: non-finite value in column f0" in message
+
+    def test_bad_cell_before_unreadable_row_in_same_chunk(self, tmp_path):
+        oversized = "1" * (csv.field_size_limit() + 1)
+        path = csv_file(tmp_path / "d.csv", 50, {3: "2,x,1.5,2.0", 20: f"19,{oversized},1.5,2.0"})
+        kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and "row 3: cannot parse f0='x'" in message
+
+    def test_header_only_file(self, tmp_path):
+        path = csv_file(tmp_path / "d.csv", 0)
+        assert_loads_like_reference(path)
+        assert load_csv(path, small_schema()).features.shape == (0, 2)
+
+    def test_file_of_exactly_one_chunk(self, tmp_path):
+        n = data._CSV_CHUNK_ROWS
+        path = csv_file(tmp_path / "d.csv", n)
+        assert_loads_like_reference(path)
+        d = load_csv(path, small_schema())
+        assert d.n_rows == n and d.timestamps[-1] == n - 1
+        csv_file(path, n, {n: f"{n - 1},1.5,1.5"})
+        kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and f"row {n} has 3 cells, expected 4" in message
+
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
+    def test_timestamp_outside_int64_is_ingest_error(self, tmp_path, cell):
+        path = csv_file(tmp_path / "d.csv", 300, {200: f"{cell},1.5,1.5,2.0"})
+        with pytest.raises(IngestError, match=f"row 200: bad timestamp '{cell}'"):
+            load_csv(path, small_schema())
+
+
 class TestAlignHorizon:
     def test_index_shift_by_hand(self):
         d = make_dataset(
@@ -295,3 +495,21 @@ class TestGenerateSynthetic:
         assert np.allclose(hour_sin**2 + hour_cos**2, 1.0, atol=1e-12)
         # Quarter 0 is hour 0: phase zero.
         assert hour_sin[0] == 0.0 and hour_cos[0] == 1.0
+
+
+def reference_ar1(rng, n, rho, sd):
+    """_ar1 stepping through a float64 array."""
+    stationary_sd = sd / np.sqrt(1.0 - rho * rho)
+    innovations = rng.normal(0.0, sd, size=n)
+    x = np.empty(n)
+    x[0] = rng.normal(0.0, stationary_sd)
+    for i in range(1, n):
+        x[i] = rho * x[i - 1] + innovations[i]
+    return x
+
+
+@pytest.mark.parametrize("n, rho, sd", [(1, 0.5, 1.0), (500, 0.97, 1.2), (300, 0.95, 6.0)])
+def test_ar1_matches_array_reference(n, rho, sd):
+    got = _ar1(np.random.default_rng(n), n, rho, sd)
+    want = reference_ar1(np.random.default_rng(n), n, rho, sd)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from balancecast import (
@@ -49,7 +50,8 @@ def dataset_for(features, target=None):
 
 def oracle_term(g_sum, h_sum, lam):
     den = h_sum + lam
-    return 0.0 if den == 0.0 else g_sum * g_sum / den
+    term = 0.0 if den == 0.0 else g_sum * g_sum / den
+    return term if math.isfinite(term) else 0.0  # an overflowing score counts as none
 
 
 def oracle_best_split(x, g, h, lam, gamma, min_child_weight=0.0):
@@ -120,6 +122,7 @@ class TestSplitGain:
         lam=st.floats(0, 10),
         gamma=st.floats(0, 5),
     )
+    @example(gl=1.0, hl=5e-324, gr=0.0, hr=0.0, lam=0.0, gamma=0.0)  # score overflows
     def test_matches_oracle_formula(self, gl, hl, gr, hr, lam, gamma):
         expected = (
             0.5

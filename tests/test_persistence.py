@@ -5,6 +5,7 @@ import pytest
 
 from balancecast import (
     KINDS,
+    SchemaError,
     EbmConfig,
     GbtConfig,
     SyntheticConfig,
@@ -99,3 +100,17 @@ def test_legacy_file_with_seed_loads(tmp_path):
     save_model(model, horizon, resaved)
     assert "seed" not in resaved.read_text()
     assert load_model(resaved)[2].meta.config == model.meta.config
+
+
+def test_tree_nested_too_deeply_is_schema_error(tiny_data, tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(KINDS["gbt"].train(tiny_data, TINY["gbt"]), 8, path)
+    doc = json.loads(path.read_text())
+    node = {"weight": 0.0}
+    for _ in range(1200):
+        node = {"feature": 0, "threshold": 0.0, "left": node, "right": {"weight": 1.0}}
+    doc["model"]["trees"] = [node]
+    # Hand the nested document to the tree decoder past json's own depth limit.
+    monkeypatch.setattr(json, "load", lambda fh: doc)
+    with pytest.raises(SchemaError, match="RecursionError"):
+        load_model(path)
