@@ -3,15 +3,15 @@
 
 Generates a seeded balancing-market series, trains all four model families
 with an 8-hour horizon under expanding-window cross-validation, prints the
-metric table (overall and deviation-events-only), and exports the additive
-model's importance ranking and shape functions as plot-ready CSVs.
+metric table (overall and deviation-events-only), writes the pooled test
+predictions, and exports the additive model's importance ranking and shape
+functions as plot-ready CSVs.
 
 Usage:
     python scripts/run_synthetic_experiment.py --out results/
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from balancecast import (
@@ -22,11 +22,10 @@ from balancecast import (
     ebm_train,
     evaluate,
     expanding_window_folds,
-    export_shapes,
     generate_synthetic,
-    global_importance,
     model_spec,
     save_csv,
+    save_global_explanation,
     save_truth_json,
 )
 
@@ -80,8 +79,7 @@ def main():
         ),
     ]
     report = evaluate(models, aligned, folds, epsilon=args.epsilon)
-    report.to_csv(out / "report.csv")
-    (out / "report.txt").write_text(report.format_table() + "\n")
+    report.save(out)
     print()
     print(report.format_table())
 
@@ -90,23 +88,12 @@ def main():
     explainer = ebm_train(
         dataset, EbmConfig(outer_rounds=150, learning_rate=0.25, max_bins=48)
     )
-    ranking = global_importance(explainer, dataset)
-    with (out / "importance.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "feature", "mac"])
-        for rank, (name, mac) in enumerate(ranking, start=1):
-            writer.writerow([rank, name, repr(mac)])
-    with (out / "shapes.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "bin_lower", "bin_upper", "contribution"])
-        for name, table in export_shapes(explainer).items():
-            for lower, upper, contribution in table:
-                writer.writerow([name, repr(lower), repr(upper), repr(contribution)])
+    ranking = save_global_explanation(explainer, dataset, out)
     print()
     print("global importance (mean absolute contribution):")
     for rank, (name, mac) in enumerate(ranking, start=1):
         print(f"  {rank:2d}. {name:<12s} {mac:8.3f}")
-    print(f"\nwrote {out / 'report.csv'}, {out / 'importance.csv'}, {out / 'shapes.csv'}")
+    print(f"\nwrote the report, predictions, importance and shapes CSVs to {out}")
 
 
 if __name__ == "__main__":

@@ -35,14 +35,13 @@ from .ebm import (
     apply_shape_table,
     bin_centers,
     build_bins,
-    ebm_from_dict,
     ebm_predict,
     ebm_predict_batch,
-    ebm_to_dict,
     ebm_train,
     explain_local,
     export_shapes,
     global_importance,
+    save_global_explanation,
 )
 from .errors import (
     BalancecastError,
@@ -71,22 +70,29 @@ from .gbt import (
     GbtModel,
     TreeNode,
     fit_tree,
-    gbt_from_dict,
     gbt_predict,
     gbt_predict_batch,
-    gbt_to_dict,
     gbt_train,
     leaf_weight,
     split_gain,
     tree_predict,
 )
-from .persistence import KINDS, ModelKind, load_model, save_model
+from .persistence import (
+    KINDS,
+    ModelKind,
+    ebm_from_dict,
+    ebm_to_dict,
+    gbt_from_dict,
+    gbt_to_dict,
+    load_model,
+    save_model,
+    stacked_from_dict,
+    stacked_to_dict,
+)
 from .stacking import (
     StackedModel,
-    stacked_from_dict,
     stacked_predict,
     stacked_predict_batch,
-    stacked_to_dict,
     stacked_train,
 )
 

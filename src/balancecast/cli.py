@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
     DEFAULT_HORIZON_STEPS,
     Dataset,
@@ -31,7 +29,7 @@ from .data import (
     synthetic_schema,
     write_csv_lines,
 )
-from .ebm import EbmConfig, ebm_predict, explain_local, export_shapes, global_importance
+from .ebm import EbmConfig, ebm_predict, explain_local, save_global_explanation
 from .errors import (
     BalancecastError,
     DegenerateLeafError,
@@ -88,13 +86,13 @@ class UsageError(BalancecastError):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file of default flag values")
+    parser.add_argument("--config", type=str, help="JSON file of default flag values")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", type=str, default=None, help="output directory")
 
 
 def _add_data(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", default=None, help="dataset CSV path")
+    parser.add_argument("--data", type=str, default=None, help="dataset CSV path")
     parser.add_argument("--horizon-steps", type=int, default=None)
 
 
@@ -111,8 +109,8 @@ def _add_eval(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--initial-train", type=int, default=None)
     parser.add_argument("--test-len", type=int, default=None)
     parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--label", default=None)
-    parser.add_argument("--direction", default=None)
+    parser.add_argument("--label", type=str, default=None)
+    parser.add_argument("--direction", type=str, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,13 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data(p)
     _add_config_flags(p, "gbt", "ebm", "meta")
-    p.add_argument("--model", default=None, help="|".join(KINDS))
+    p.add_argument("--model", type=str, default=None, help="|".join(KINDS))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict with a saved model")
     _add_common(p)
     _add_data(p)
-    p.add_argument("--model", default=None, help="model JSON file")
+    p.add_argument("--model", type=str, default=None, help="model JSON file")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="expanding-window evaluation report")
@@ -147,14 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, "gbt", "ebm", "meta")
     _add_eval(p)
     p.add_argument(
-        "--models", default=None, help="comma-separated subset of " + ",".join(KINDS)
+        "--models", type=str, default=None, help="comma-separated subset of " + ",".join(KINDS)
     )
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("explain", help="export shape functions and importance")
     _add_common(p)
     _add_data(p)
-    p.add_argument("--model", default=None, help="model JSON file (ebm only)")
+    p.add_argument("--model", type=str, default=None, help="model JSON file (ebm only)")
     p.add_argument("--row", type=int, default=None, help="local explanation row")
     p.set_defaults(func=cmd_explain)
 
@@ -162,22 +160,40 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data(p)
     _add_eval(p)
-    p.add_argument("--model", default=None, help="gbt|ebm")
+    p.add_argument("--model", type=str, default=None, help="gbt|ebm")
     p.add_argument(
         "--param",
         action="append",
+        type=str,
         default=None,
         help="name=v1,v2,... (repeatable)",
     )
     p.set_defaults(func=cmd_grid)
     for p in sub.choices.values():
-        # A config-file value is cast with the type of the flag it stands for.
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type})
+        # Every flag has a type, with which a config-file value is cast.
+        p.set_defaults(flag_actions={a.dest: a for a in p._actions if a.type})
     return parser
 
 
+def _config_value(action: argparse.Action, value):
+    """A config-file ``value`` cast with the type of ``action``'s flag. It
+    must be a JSON string or number (not a bool, and whole for an int flag),
+    or a list of strings for a repeatable flag; anything else raises
+    TypeError or ValueError."""
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise TypeError(value)
+        return [action.type(v) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(value)
+    if action.type is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return action.type(value)
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill flags that were not given from the --config JSON file."""
+    """Fill flags that were not given from the --config JSON file, whose
+    keys must be flags of the command."""
     if not getattr(args, "config", None):
         return args
     path = Path(args.config)
@@ -189,13 +205,12 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     for key, value in doc.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = args.flag_actions.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"config file {path}: unknown key {key!r}")
-        if getattr(args, dest) is None and value is not None:
-            cast = args.flag_types.get(dest)
+        if getattr(args, action.dest) is None and value is not None:
             try:
-                setattr(args, dest, value if cast is None else cast(value))
+                setattr(args, action.dest, _config_value(action, value))
             except (TypeError, ValueError, OverflowError):
                 raise UsageError(
                     f"config file {path}: bad value {value!r} for {key!r}"
@@ -311,9 +326,8 @@ def _backtest(args):
     if initial_train is None or test_len is None:
         raise UsageError("--initial-train and --test-len are required")
     folds = expanding_window_folds(aligned.n_rows, initial_train, test_len)
-    casts = {"epsilon": float, "label": str, "direction": str}
-    given = {name: getattr(args, name, None) for name in casts}
-    options = {name: casts[name](v) for name, v in given.items() if v is not None}
+    given = {name: getattr(args, name, None) for name in ("epsilon", "label", "direction")}
+    options = {name: v for name, v in given.items() if v is not None}
     return aligned, horizon, folds, options
 
 
@@ -325,28 +339,14 @@ def cmd_evaluate(args) -> None:
         if name not in KINDS:
             raise UsageError(f"unknown model kind {name!r}")
     aligned, horizon, folds, options = _backtest(args)
-    collected: dict[str, np.ndarray] = {}
     report = evaluate(
         [model_spec(name, _kind_config(args, name, horizon)) for name in names],
         aligned,
         folds,
-        collect_predictions=collected,
         **options,
     )
     out = _out_dir(args)
-    report.to_csv(out / "report.csv")
-    (out / "report.txt").write_text(report.format_table() + "\n")
-    issued = aligned.timestamps[collected["__index__"]].tolist()
-    actual = collected["__actual__"].tolist()
-    write_csv_lines(
-        out / "predictions.csv",
-        ["model", "issue_timestamp", "actual", "predicted"],
-        (
-            f"{name},{issue},{y!r},{pred!r}\n"
-            for name in names
-            for issue, y, pred in zip(issued, actual, collected[name].tolist())
-        ),
-    )
+    report.save(out)
     print(report.format_table())
     print(f"wrote {out / 'report.csv'}, {out / 'report.txt'}, {out / 'predictions.csv'}")
 
@@ -360,21 +360,7 @@ def cmd_explain(args) -> None:
     out = _out_dir(args)
     row = getattr(args, "row", None)
     if row is None:
-        ranking = global_importance(model, d)
-        write_csv_lines(
-            out / "importance.csv",
-            ["rank", "feature", "mac"],
-            (f"{rank + 1},{name},{mac!r}\n" for rank, (name, mac) in enumerate(ranking)),
-        )
-        write_csv_lines(
-            out / "shapes.csv",
-            ["feature", "bin_lower", "bin_upper", "contribution"],
-            (
-                f"{name},{lower!r},{upper!r},{contribution!r}\n"
-                for name, table in export_shapes(model).items()
-                for lower, upper, contribution in table
-            ),
-        )
+        save_global_explanation(model, d, out)
         print(f"wrote {out / 'importance.csv'}, {out / 'shapes.csv'}")
     else:
         if not 0 <= row < d.n_rows:

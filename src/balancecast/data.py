@@ -11,9 +11,10 @@ recovery can be tested against the data-generating process.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -162,23 +163,16 @@ class Dataset:
 
     def slice_rows(self, start: int, stop: int) -> "Dataset":
         """Contiguous row window as a new Dataset (grid stays gap-free)."""
-        return Dataset(
+        return replace(
+            self,
             timestamps=self.timestamps[start:stop],
             features=self.features[start:stop],
             target=self.target[start:stop],
-            schema=self.schema,
-            spot_column=self.spot_column,
         )
 
     def with_target(self, target: np.ndarray) -> "Dataset":
         """Same rows and features with a replacement target vector."""
-        return Dataset(
-            timestamps=self.timestamps,
-            features=self.features,
-            target=np.asarray(target, dtype=np.float64),
-            schema=self.schema,
-            spot_column=self.spot_column,
-        )
+        return replace(self, target=target)
 
 
 def align_horizon(d: Dataset, horizon_steps: int) -> Dataset:
@@ -197,17 +191,13 @@ def align_horizon(d: Dataset, horizon_steps: int) -> Dataset:
             f"horizon_steps={horizon_steps} must be smaller than n={d.n_rows}"
         )
     h = int(horizon_steps)
-    return Dataset(
-        timestamps=d.timestamps[:-h],
-        features=d.features[:-h],
-        target=d.target[h:],
-        schema=d.schema,
-        spot_column=d.spot_column,
+    return replace(
+        d, timestamps=d.timestamps[:-h], features=d.features[:-h], target=d.target[h:]
     )
 
 
 # ---------------------------------------------------------------------------
-# CSV ingest / persist
+# CSV and JSON files
 # ---------------------------------------------------------------------------
 
 
@@ -220,11 +210,26 @@ def _expected_header(schema: FeatureSchema) -> list[str]:
     return ["timestamp", *schema.names, "target"]
 
 
+def csv_line(cells) -> str:
+    """One csv line of ``cells``, quoted where csv needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
 def write_csv_lines(path, header: list[str], lines) -> None:
     """Write the csv ``header`` row, then the already formatted ``lines``."""
     with Path(path).open("w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(csv_line(header))
         fh.writelines(lines)
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON plus a trailing newline; floats keep
+    their shortest repr, so a reload reproduces them exactly."""
+    with Path(path).open("w", newline="") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def save_csv(d: Dataset, path) -> None:
@@ -278,13 +283,14 @@ def _raise_first_error(path, header: list[str], rows, first_row_no: int) -> None
                 )
 
 
-def load_csv(path, schema: FeatureSchema, spot_column: int | None = None) -> Dataset:
+def load_csv(path, schema: FeatureSchema) -> Dataset:
     """Read a dataset CSV, sort rows by timestamp, and validate the grid.
 
     The header must be exactly ``timestamp,<schema names...>,target``. Cells
-    that fail to parse, or parse to non-finite values, and timestamps outside
-    int64 raise IngestError with the 1-based data row number. ``spot_column``
-    defaults to the feature named ``spot`` if present, else column 0.
+    that fail to parse, or parse to non-finite values, timestamps outside
+    int64 and rows the csv reader rejects (a field over its size limit)
+    raise IngestError with the 1-based data row number. The spot column is
+    the feature named ``spot`` if present, else column 0.
     """
     path = Path(path)
     with path.open("r", newline="") as fh:
@@ -308,10 +314,10 @@ def load_csv(path, schema: FeatureSchema, spot_column: int | None = None) -> Dat
             rows: list[list[str]] = []
             try:
                 rows.extend(itertools.islice(reader, _CSV_CHUNK_ROWS))
-            except csv.Error:
+            except csv.Error as exc:
                 # A malformed row read before the unreadable one is reported first.
                 _raise_first_error(path, expected, rows, row_no)
-                raise
+                raise IngestError(f"{path}: row {row_no + len(rows)}: {exc}") from None
             if not rows:
                 break
             chunks.append(_parse_chunk(path, expected, rows, row_no))
@@ -329,14 +335,12 @@ def load_csv(path, schema: FeatureSchema, spot_column: int | None = None) -> Dat
             after = int(timestamps[int(np.argmax(step != 1))])
             raise GridError(f"{path}: timestamp gap after quarter {after}")
     values = np.concatenate([values for _, values in chunks])[order]
-    if spot_column is None:
-        spot_column = schema.names.index("spot") if "spot" in schema.names else 0
     return Dataset(
         timestamps=timestamps,
         features=values[:, :p],
         target=values[:, p],
         schema=schema,
-        spot_column=spot_column,
+        spot_column=schema.names.index("spot") if "spot" in schema.names else 0,
     )
 
 
@@ -574,11 +578,8 @@ def truth_table(
 
 def save_truth_json(truth: SyntheticTruth, d: Dataset, path) -> None:
     """Write the ground-truth sidecar: feature -> (input, contribution) pairs."""
-    path = Path(path)
     payload = {
         name: [[v, c] for v, c in pairs]
         for name, pairs in truth_table(truth, d).items()
     }
-    with path.open("w", newline="") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(path, payload)

@@ -15,11 +15,12 @@ absolute contribution (MAC) of each shape over a dataset.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema
+from .data import Dataset, FeatureSchema, write_csv_lines
 from .errors import InvalidArgumentError, SchemaError
 
 
@@ -233,21 +234,13 @@ def ebm_train(d: Dataset, cfg: EbmConfig = EbmConfig()) -> EbmModel:
     )
 
 
-def _contribution(m: EbmModel, j: int, value: float) -> float:
-    b = int(m.bins.bin_index(j, value))
-    return float(m.shapes[j].values[b])
-
-
 def ebm_predict(m: EbmModel, x) -> float:
-    """Intercept plus the shape lookups, accumulated in schema order.
-
-    The accumulation order matches :func:`explain_local`, so folding the
-    explanation back onto the intercept reproduces this value bit for bit.
-    """
-    row = m.schema.check_features(x, 1)
+    """Intercept plus the :func:`explain_local` contributions, added in
+    schema order, so folding the explanation back onto the intercept
+    reproduces this value bit for bit."""
     acc = m.intercept
-    for j in range(len(m.schema)):
-        acc += _contribution(m, j, row[j])
+    for _, contribution in explain_local(m, x):
+        acc += contribution
     return float(acc)
 
 
@@ -263,8 +256,8 @@ def explain_local(m: EbmModel, x) -> list[tuple[str, float]]:
     """Per-feature additive contributions for one input row."""
     row = m.schema.check_features(x, 1)
     return [
-        (m.schema.names[j], _contribution(m, j, row[j]))
-        for j in range(len(m.schema))
+        (name, float(m.shapes[j].values[int(m.bins.bin_index(j, row[j]))]))
+        for j, name in enumerate(m.schema.names)
     ]
 
 
@@ -301,47 +294,32 @@ def export_shapes(m: EbmModel) -> dict[str, ShapeTable]:
     return tables
 
 
+def save_global_explanation(m: EbmModel, d: Dataset, out) -> list[tuple[str, float]]:
+    """Write ``importance.csv`` (the :func:`global_importance` ranking over
+    ``d``) and ``shapes.csv`` (the :func:`export_shapes` tables) into the
+    directory ``out``; returns the ranking."""
+    out = Path(out)
+    ranking = global_importance(m, d)
+    write_csv_lines(
+        out / "importance.csv",
+        ["rank", "feature", "mac"],
+        (f"{rank},{name},{mac!r}\n" for rank, (name, mac) in enumerate(ranking, start=1)),
+    )
+    write_csv_lines(
+        out / "shapes.csv",
+        ["feature", "bin_lower", "bin_upper", "contribution"],
+        (
+            f"{name},{lower!r},{upper!r},{contribution!r}\n"
+            for name, table in export_shapes(m).items()
+            for lower, upper, contribution in table
+        ),
+    )
+    return ranking
+
+
 def apply_shape_table(table: ShapeTable, value: float) -> float:
     """Look one value up in an exported shape table."""
     for lower, upper, contribution in table:
         if lower < value <= upper:
             return contribution
     return table[-1][2]
-
-
-def ebm_to_dict(m: EbmModel) -> dict:
-    return {
-        "intercept": m.intercept,
-        "bins": {
-            "cuts": [list(map(float, c)) for c in m.bins.cuts],
-            "vmin": list(m.bins.vmin),
-            "vmax": list(m.bins.vmax),
-        },
-        "shapes": [list(map(float, s.values)) for s in m.shapes],
-        "config": asdict(m.config),
-        "schema": {"names": list(m.schema.names), "kinds": list(m.schema.kinds)},
-    }
-
-
-def ebm_from_dict(doc: dict) -> EbmModel:
-    config = dict(doc["config"])
-    config.pop("seed", None)  # an unused field that older model files still carry
-    schema = FeatureSchema(
-        names=tuple(doc["schema"]["names"]), kinds=tuple(doc["schema"]["kinds"])
-    )
-    bins = BinMap(
-        cuts=tuple(np.asarray(c, dtype=np.float64) for c in doc["bins"]["cuts"]),
-        vmin=tuple(float(v) for v in doc["bins"]["vmin"]),
-        vmax=tuple(float(v) for v in doc["bins"]["vmax"]),
-    )
-    shapes = tuple(
-        ShapeFunction(feature_index=j, values=np.asarray(v, dtype=np.float64))
-        for j, v in enumerate(doc["shapes"])
-    )
-    return EbmModel(
-        intercept=float(doc["intercept"]),
-        shapes=shapes,
-        bins=bins,
-        schema=schema,
-        config=EbmConfig(**config),
-    )

@@ -10,14 +10,13 @@ spot anchor by more than epsilon.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, csv_line, write_csv_lines
 from .errors import InvalidArgumentError
 from .persistence import KINDS
 
@@ -151,41 +150,50 @@ class EvalRow:
         return 1.0 - self.n_filter / self.n_orig
 
 
-@dataclass
-class EvalReport:
-    rows: list[EvalRow] = field(default_factory=list)
-
-    CSV_HEADER = [
-        "label",
-        "direction",
-        "model",
-        "filtered",
-        "n_orig",
-        "n_filter",
-        "mae",
-        "rmse",
-        "r2",
+def _report_cells(row: EvalRow) -> list:
+    """The ``report.csv`` cells of ``row``; metrics that do not exist are empty."""
+    m = row.metrics
+    return [
+        row.label, row.direction, row.model, "true" if row.filtered else "false",
+        row.n_orig, row.n_filter,
+        "" if m is None else repr(m.mae),
+        "" if m is None else repr(m.rmse),
+        "" if m is None or m.r2 is None else repr(m.r2),
     ]
 
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.CSV_HEADER)
-            for row in self.rows:
-                m = row.metrics
-                writer.writerow(
-                    [
-                        row.label,
-                        row.direction,
-                        row.model,
-                        "true" if row.filtered else "false",
-                        row.n_orig,
-                        row.n_filter,
-                        "" if m is None else repr(m.mae),
-                        "" if m is None else repr(m.rmse),
-                        "" if m is None or m.r2 is None else repr(m.r2),
-                    ]
-                )
+
+@dataclass
+class EvalReport:
+    """Metric rows plus the pooled test segment they were computed on: its
+    issue timestamps, the actual targets and each model's predictions, keyed
+    by model label."""
+
+    issue_timestamps: np.ndarray
+    actual: np.ndarray
+    rows: list[EvalRow] = field(default_factory=list)
+    predictions: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def save(self, out) -> None:
+        """Write ``report.csv``, ``report.txt`` and ``predictions.csv`` into
+        the directory ``out``."""
+        out = Path(out)
+        write_csv_lines(
+            out / "report.csv",
+            ["label", "direction", "model", "filtered", "n_orig", "n_filter", "mae", "rmse", "r2"],
+            (csv_line(_report_cells(row)) for row in self.rows),
+        )
+        (out / "report.txt").write_text(self.format_table() + "\n")
+        issued = self.issue_timestamps.tolist()
+        actual = self.actual.tolist()
+        write_csv_lines(
+            out / "predictions.csv",
+            ["model", "issue_timestamp", "actual", "predicted"],
+            (
+                csv_line([model, issue, repr(y), repr(pred)])
+                for model, pred_pool in self.predictions.items()
+                for issue, y, pred in zip(issued, actual, pred_pool.tolist())
+            ),
+        )
 
     def format_table(self) -> str:
         """Aligned plain-text table, one row per (model, filter state)."""
@@ -216,15 +224,12 @@ def evaluate(
     epsilon: float = 1e-6,
     label: str = "synthetic",
     direction: str = "up",
-    collect_predictions: dict[str, np.ndarray] | None = None,
 ) -> EvalReport:
     """Train-and-test every model over the folds and pool the test segments.
 
     Emits two rows per model: unfiltered metrics over the pooled test
-    predictions, and metrics restricted to deviation events. If
-    ``collect_predictions`` is a dict it receives the pooled prediction
-    vector per model label plus ``__index__``, ``__actual__`` and
-    ``__spot__`` entries.
+    predictions, and metrics restricted to deviation events. The report
+    also carries the pooled segment and each model's pooled predictions.
     """
     for fold in folds:
         if fold.test_end > d.n_rows:
@@ -236,11 +241,7 @@ def evaluate(
     )
     y_pool = d.target[test_idx]
     spot_pool = d.spot[test_idx]
-    report = EvalReport()
-    if collect_predictions is not None:
-        collect_predictions["__index__"] = test_idx
-        collect_predictions["__actual__"] = y_pool
-        collect_predictions["__spot__"] = spot_pool
+    report = EvalReport(issue_timestamps=d.timestamps[test_idx], actual=y_pool)
     for spec in models:
         preds = []
         for fold in folds:
@@ -252,32 +253,12 @@ def evaluate(
             predictor = spec.fit(train)
             preds.append(np.asarray(predictor(d, idx), dtype=np.float64))
         pred_pool = np.concatenate(preds)
-        if collect_predictions is not None:
-            collect_predictions[spec.label] = pred_pool
-        report.rows.append(
-            EvalRow(
-                label=label,
-                direction=direction,
-                model=spec.label,
-                filtered=False,
-                n_orig=len(y_pool),
-                n_filter=len(y_pool),
-                metrics=compute_metrics(y_pool, pred_pool),
-            )
-        )
+        report.predictions[spec.label] = pred_pool
+        pooled = compute_metrics(y_pool, pred_pool)
         y_kept, pred_kept, n_orig, n_filter = filter_deviation_events(
             y_pool, pred_pool, spot_pool, epsilon
         )
-        kept_metrics = compute_metrics(y_kept, pred_kept) if n_filter >= 2 else None
-        report.rows.append(
-            EvalRow(
-                label=label,
-                direction=direction,
-                model=spec.label,
-                filtered=True,
-                n_orig=n_orig,
-                n_filter=n_filter,
-                metrics=kept_metrics,
-            )
-        )
+        kept = compute_metrics(y_kept, pred_kept) if n_filter >= 2 else None
+        for filtered, n, metrics in ((False, n_orig, pooled), (True, n_filter, kept)):
+            report.rows.append(EvalRow(label, direction, spec.label, filtered, n_orig, n, metrics))
     return report

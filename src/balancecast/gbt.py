@@ -16,7 +16,7 @@ deterministic and invariant to row order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,27 +119,6 @@ class TreeNode:
         while not node.is_leaf:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node.weight
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"weight": self.weight}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "TreeNode":
-        if "weight" in doc:
-            return TreeNode(weight=float(doc["weight"]))
-        return TreeNode(
-            feature=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
-            left=TreeNode.from_dict(doc["left"]),
-            right=TreeNode.from_dict(doc["right"]),
-        )
 
 
 def _tree_predict_batch(node: TreeNode, x: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
@@ -301,26 +280,3 @@ def gbt_predict_batch(m: GbtModel, x: np.ndarray) -> np.ndarray:
     for tree in m.trees:
         acc += m.config.learning_rate * tree_predict(tree, x)
     return acc
-
-
-def gbt_to_dict(m: GbtModel) -> dict:
-    return {
-        "base_score": m.base_score,
-        "config": asdict(m.config),
-        "schema": {"names": list(m.schema.names), "kinds": list(m.schema.kinds)},
-        "trees": [t.to_dict() for t in m.trees],
-    }
-
-
-def gbt_from_dict(doc: dict) -> GbtModel:
-    config = dict(doc["config"])
-    config.pop("seed", None)  # an unused field that older model files still carry
-    schema = FeatureSchema(
-        names=tuple(doc["schema"]["names"]), kinds=tuple(doc["schema"]["kinds"])
-    )
-    return GbtModel(
-        trees=tuple(TreeNode.from_dict(t) for t in doc["trees"]),
-        base_score=float(doc["base_score"]),
-        config=GbtConfig(**config),
-        schema=schema,
-    )

@@ -1,22 +1,124 @@
-"""The model registry and model files.
+"""The model registry and the model-file codec.
 
 ``KINDS`` maps each model kind to how it trains, predicts and serializes;
 the CLI, the evaluation harness and the model files all go through it. A
-model file is a JSON envelope tagging the kind and forecast horizon. Floats
-survive the round trip exactly because json serializes Python floats via
-their shortest repr.
+model file is a JSON envelope tagging the kind and forecast horizon around
+the model's ``*_to_dict`` document; this module is the only one that knows
+that format. Floats survive the round trip exactly because json serializes
+Python floats via their shortest repr.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import ebm, gbt, stacking
 from .baseline import NaiveModel, naive_forecast
+from .data import FeatureSchema, write_json
 from .errors import SchemaError, UnsupportedModelError
+
+
+def _blocks(m) -> dict:
+    """The config and schema blocks that every learned model's document holds."""
+    return {
+        "config": asdict(m.config),
+        "schema": {"names": list(m.schema.names), "kinds": list(m.schema.kinds)},
+    }
+
+
+def _blocks_from_dict(doc: dict, config_type: type) -> dict:
+    """``config`` and ``schema`` keyword arguments for a model constructor."""
+    config = dict(doc["config"])
+    config.pop("seed", None)  # an unused field that older model files still carry
+    schema = doc["schema"]
+    return {
+        "config": config_type(**config),
+        "schema": FeatureSchema(names=tuple(schema["names"]), kinds=tuple(schema["kinds"])),
+    }
+
+
+def tree_to_dict(node: gbt.TreeNode) -> dict:
+    if node.is_leaf:
+        return {"weight": node.weight}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": tree_to_dict(node.left),
+        "right": tree_to_dict(node.right),
+    }
+
+
+def tree_from_dict(doc: dict) -> gbt.TreeNode:
+    if "weight" in doc:
+        return gbt.TreeNode(weight=float(doc["weight"]))
+    return gbt.TreeNode(
+        feature=int(doc["feature"]),
+        threshold=float(doc["threshold"]),
+        left=tree_from_dict(doc["left"]),
+        right=tree_from_dict(doc["right"]),
+    )
+
+
+def gbt_to_dict(m: gbt.GbtModel) -> dict:
+    return {
+        "base_score": m.base_score,
+        **_blocks(m),
+        "trees": [tree_to_dict(t) for t in m.trees],
+    }
+
+
+def gbt_from_dict(doc: dict) -> gbt.GbtModel:
+    return gbt.GbtModel(
+        trees=tuple(tree_from_dict(t) for t in doc["trees"]),
+        base_score=float(doc["base_score"]),
+        **_blocks_from_dict(doc, gbt.GbtConfig),
+    )
+
+
+def ebm_to_dict(m: ebm.EbmModel) -> dict:
+    return {
+        "intercept": m.intercept,
+        "bins": {
+            "cuts": [list(map(float, c)) for c in m.bins.cuts],
+            "vmin": list(m.bins.vmin),
+            "vmax": list(m.bins.vmax),
+        },
+        "shapes": [list(map(float, s.values)) for s in m.shapes],
+        **_blocks(m),
+    }
+
+
+def ebm_from_dict(doc: dict) -> ebm.EbmModel:
+    bins = ebm.BinMap(
+        cuts=tuple(np.asarray(c, dtype=np.float64) for c in doc["bins"]["cuts"]),
+        vmin=tuple(float(v) for v in doc["bins"]["vmin"]),
+        vmax=tuple(float(v) for v in doc["bins"]["vmax"]),
+    )
+    shapes = tuple(
+        ebm.ShapeFunction(feature_index=j, values=np.asarray(v, dtype=np.float64))
+        for j, v in enumerate(doc["shapes"])
+    )
+    return ebm.EbmModel(
+        intercept=float(doc["intercept"]),
+        shapes=shapes,
+        bins=bins,
+        **_blocks_from_dict(doc, ebm.EbmConfig),
+    )
+
+
+def stacked_to_dict(m: stacking.StackedModel) -> dict:
+    return {"base": ebm_to_dict(m.base), "meta": gbt_to_dict(m.meta)}
+
+
+def stacked_from_dict(doc: dict) -> stacking.StackedModel:
+    base = ebm_from_dict(doc["base"])
+    meta = gbt_from_dict(doc["meta"])
+    return stacking.StackedModel(base=base, meta=meta, schema=base.schema)
 
 
 @dataclass(frozen=True)
@@ -56,24 +158,24 @@ KINDS = {
             model_type=gbt.GbtModel,
             train=lambda d, cfg: gbt.gbt_train(d, cfg),
             predict=lambda m, d, rows: gbt.gbt_predict_batch(m, d.features[rows]),
-            to_dict=gbt.gbt_to_dict,
-            from_dict=gbt.gbt_from_dict,
+            to_dict=gbt_to_dict,
+            from_dict=gbt_from_dict,
         ),
         ModelKind(
             name="ebm",
             model_type=ebm.EbmModel,
             train=lambda d, cfg: ebm.ebm_train(d, cfg),
             predict=lambda m, d, rows: ebm.ebm_predict_batch(m, d.features[rows]),
-            to_dict=ebm.ebm_to_dict,
-            from_dict=ebm.ebm_from_dict,
+            to_dict=ebm_to_dict,
+            from_dict=ebm_from_dict,
         ),
         ModelKind(
             name="stacked",
             model_type=stacking.StackedModel,
             train=lambda d, cfg: stacking.stacked_train(d, *cfg),
             predict=lambda m, d, rows: stacking.stacked_predict_batch(m, d.features[rows]),
-            to_dict=stacking.stacked_to_dict,
-            from_dict=stacking.stacked_from_dict,
+            to_dict=stacked_to_dict,
+            from_dict=stacked_from_dict,
         ),
     )
 }
@@ -84,9 +186,7 @@ def save_model(model, horizon_steps: int, path) -> None:
     if kind is None:
         raise UnsupportedModelError(f"cannot persist {type(model).__name__}")
     doc = {"kind": kind.name, "horizon_steps": int(horizon_steps), "model": kind.to_dict(model)}
-    with Path(path).open("w", newline="") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path):

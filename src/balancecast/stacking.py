@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSchema
-from .ebm import EbmConfig, EbmModel, ebm_from_dict, ebm_predict, ebm_predict_batch, ebm_to_dict, ebm_train
+from .ebm import EbmConfig, EbmModel, ebm_predict, ebm_predict_batch, ebm_train
 from .errors import SchemaError
-from .gbt import GbtConfig, GbtModel, gbt_from_dict, gbt_predict, gbt_predict_batch, gbt_to_dict, gbt_train
+from .gbt import GbtConfig, GbtModel, gbt_predict, gbt_predict_batch, gbt_train
 
 # Residual signal is small, so the meta-learner defaults shallower and
 # shorter than a standalone tree ensemble.
@@ -52,13 +52,3 @@ def stacked_predict(m: StackedModel, x) -> float:
 
 def stacked_predict_batch(m: StackedModel, x: np.ndarray) -> np.ndarray:
     return ebm_predict_batch(m.base, x) + gbt_predict_batch(m.meta, x)
-
-
-def stacked_to_dict(m: StackedModel) -> dict:
-    return {"base": ebm_to_dict(m.base), "meta": gbt_to_dict(m.meta)}
-
-
-def stacked_from_dict(doc: dict) -> StackedModel:
-    base = ebm_from_dict(doc["base"])
-    meta = gbt_from_dict(doc["meta"])
-    return StackedModel(base=base, meta=meta, schema=base.schema)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -19,13 +20,13 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_process(*argv):
+def run_process(*argv, cwd=None):
     """Run the CLI in a child process; returns (exit code, stderr)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "balancecast", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
     )
     return proc.returncode, proc.stderr
 
@@ -171,6 +172,25 @@ class TestPredict:
         assert code == 3
         assert "row 5: bad timestamp '99999999999999999999'" in capsys.readouterr().err
 
+    def test_field_over_csv_size_limit_exits_3(self, data_dir, tmp_path):
+        assert run(
+            "train", "--data", str(data_dir / "dataset.csv"), "--model", "naive",
+            "--out", str(tmp_path / "m"),
+        ) == 0
+        lines = (data_dir / "dataset.csv").read_text().splitlines(keepends=True)
+        cells = lines[10].split(",")
+        cells[3] = "1" * 200_000
+        lines[10] = ",".join(cells)
+        data = tmp_path / "dataset.csv"
+        data.write_text("".join(lines))
+        code, stderr = run_process(
+            "predict", "--data", str(data), "--model", str(tmp_path / "m" / "model.json"),
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 3, stderr
+        assert "Traceback" not in stderr and "row 10: field larger than field limit" in stderr
+        assert not (tmp_path / "p").exists()
+
 
 def _rename_features(doc):
     doc["model"]["schema"]["names"] = [n.upper() for n in doc["model"]["schema"]["names"]]
@@ -262,6 +282,19 @@ class TestEvaluate:
         assert models_in_report == {"naive", "gbt", "ebm", "stacked"}
         for name in ("report.csv", "report.txt", "predictions.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_label_with_csv_quoting_round_trips(self, data_dir, tmp_path):
+        label = 'NO1,"x"'
+        code = run(
+            "evaluate", "--data", str(data_dir / "dataset.csv"), "--models", "naive",
+            "--initial-train", "400", "--test-len", "134", "--label", label,
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        with (tmp_path / "report.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows] == ["label", label, label]
+        assert all(len(row) == 9 for row in rows)
 
     def test_epsilon_monotone(self, data_dir, tmp_path):
         kept = []
@@ -428,6 +461,50 @@ class TestConfigFile:
         )
         assert code == 2, stderr
         assert "Traceback" not in stderr and f"bad value 'abc' for '{key}'" in stderr
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["evaluate"], {"models": ["gbt"]}),
+            (["synth"], {"out": ["x"]}),
+            (["synth"], {"n_rows": True}),
+            (["synth"], {"n_rows": 2.5}),
+            (["evaluate", "--models", "naive"], {"label": {"a": 1}}),
+            (["grid", "--model", "gbt"], {"param": "max_depth=2,3"}),
+            (["grid", "--model", "gbt"], {"param": ["max_depth=2,3", 4]}),
+        ],
+    )
+    def test_value_not_a_string_or_number_exits_2(self, data_dir, tmp_path, argv, doc):
+        if argv != ["synth"]:
+            doc = {"initial_train": 400, "test_len": 134, **doc}
+            argv = [*argv, "--data", str(data_dir / "dataset.csv"), "--out", "out"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, stderr = run_process(*argv, "--config", str(cfg), cwd=tmp_path)
+        assert code == 2, stderr
+        assert "Traceback" not in stderr and "bad value" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("key", ["func", "command", "flag_types", "flag_actions"])
+    def test_key_that_is_not_a_flag_exits_2(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_rows": 20, key: "x"}))
+        code, stderr = run_process("synth", "--config", str(cfg), cwd=tmp_path)
+        assert code == 2, stderr
+        assert "Traceback" not in stderr and f"unknown key {key!r}" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_repeatable_param_takes_a_list_of_strings(self, data_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"param": ["max_depth=2,3", "n_trees=3"]}))
+        code = run(
+            "grid", "--model", "gbt", "--config", str(cfg), "--data",
+            str(data_dir / "dataset.csv"), "--initial-train", "400", "--test-len", "134",
+            "--out", str(tmp_path / "g"),
+        )
+        assert code == 0
+        lines = (tmp_path / "g" / "grid.csv").read_text().splitlines()
+        assert lines[0] == "max_depth,n_trees,mae,rmse,r2" and len(lines) == 3
 
     def test_flags_override_config_file(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -225,7 +225,15 @@ def reference_load_csv(path, schema):
             )
         p = len(schema)
         ts_rows, rows, targets = [], [], []
-        for row_no, row in enumerate(reader, start=1):
+        row_no = 0
+        while True:
+            try:
+                row = next(reader, None)
+            except csv.Error as exc:
+                raise IngestError(f"{path}: row {row_no + 1}: {exc}") from None
+            if row is None:
+                break
+            row_no += 1
             if len(row) != p + 2:
                 raise IngestError(
                     f"{path}: row {row_no} has {len(row)} cells, expected {p + 2}"
@@ -366,6 +374,12 @@ class TestCsvAgainstReference:
         path = csv_file(tmp_path / "d.csv", 50, {3: "2,x,1.5,2.0", 20: f"19,{oversized},1.5,2.0"})
         kind, message = assert_loads_like_reference(path)
         assert kind is IngestError and "row 3: cannot parse f0='x'" in message
+
+    def test_unreadable_row_is_ingest_error(self, tmp_path):
+        oversized = "1" * (csv.field_size_limit() + 1)
+        path = csv_file(tmp_path / "d.csv", 50, {20: f"19,{oversized},1.5,2.0"})
+        kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and "row 20: field larger than field limit" in message
 
     def test_header_only_file(self, tmp_path):
         path = csv_file(tmp_path / "d.csv", 0)

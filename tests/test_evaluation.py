@@ -254,10 +254,7 @@ class TestEvaluate:
     def test_pooled_mae_matches_bruteforce(self):
         d = tiny_dataset(n=50, seed=5)
         folds = expanding_window_folds(d.n_rows, 20, 10)
-        collected = {}
-        report = evaluate(
-            [mean_spec()], d, folds, epsilon=0.1, collect_predictions=collected
-        )
+        report = evaluate([mean_spec()], d, folds, epsilon=0.1)
         # Recompute the pooled MAE per definition: refit per fold by hand.
         errors = []
         for f in folds:
@@ -266,7 +263,7 @@ class TestEvaluate:
                 errors.append(abs(d.target[i] - mean))
         expected_mae = sum(errors) / len(errors)
         assert report.rows[0].metrics.mae == pytest.approx(expected_mae, abs=1e-12)
-        assert len(collected["mean"]) == len(errors)
+        assert len(report.predictions["mean"]) == len(errors)
 
     def test_epsilon_monotone_kept_counts(self):
         d = tiny_dataset(n=60, seed=7)
@@ -312,12 +309,33 @@ class TestEvalReportOutput:
         d = tiny_dataset(n=40, seed=2)
         folds = expanding_window_folds(d.n_rows, 20, 10)
         report = evaluate([mean_spec()], d, folds, epsilon=0.1, label="zone1")
-        path = tmp_path / "report.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
+        report.save(tmp_path)
+        lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines[0] == "label,direction,model,filtered,n_orig,n_filter,mae,rmse,r2"
         assert lines[1].startswith("zone1,up,mean,false,20,20,")
         assert len(lines) == 3
+        assert (tmp_path / "report.txt").read_text() == report.format_table() + "\n"
+
+    def test_report_carries_pooled_segment(self, tmp_path):
+        d = tiny_dataset(n=40, seed=2)
+        folds = expanding_window_folds(d.n_rows, 20, 10)
+        report = evaluate([mean_spec(), oracle_spec()], d, folds, epsilon=0.1)
+        assert report.issue_timestamps.tolist() == d.timestamps[20:40].tolist()
+        assert report.actual.tolist() == d.target[20:40].tolist()
+        assert list(report.predictions) == ["mean", "oracle"]
+        report.save(tmp_path)
+        lines = (tmp_path / "predictions.csv").read_text().splitlines()
+        assert lines[0] == "model,issue_timestamp,actual,predicted"
+        expected = [
+            f"{model},{t},{y!r},{p!r}"
+            for model in ("mean", "oracle")
+            for t, y, p in zip(
+                d.timestamps[20:40].tolist(),
+                d.target[20:40].tolist(),
+                report.predictions[model].tolist(),
+            )
+        ]
+        assert lines[1:] == expected
 
     def test_removal_percentage_exact(self):
         d = tiny_dataset(n=40, seed=2)

@@ -21,3 +21,7 @@ def test_synthetic_experiment_script_runs(tmp_path):
     report = (tmp_path / "report.csv").read_text().splitlines()
     assert len(report) == 1 + 8
     assert {line.split(",")[2] for line in report[1:]} == {"naive", "gbt", "ebm", "stacked"}
+    # 700 rows aligned over 32 steps, tested after the first 400: 268 forecasts per model.
+    predictions = (tmp_path / "predictions.csv").read_text().splitlines()
+    assert predictions[0] == "model,issue_timestamp,actual,predicted"
+    assert len(predictions) == 1 + 4 * 268
