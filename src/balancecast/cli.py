@@ -335,9 +335,11 @@ def cmd_evaluate(args) -> None:
     names = [s.strip() for s in _get(args, "models", ",".join(KINDS)).split(",") if s.strip()]
     if not names:
         raise UsageError("--models lists no model kinds")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in KINDS:
             raise UsageError(f"unknown model kind {name!r}")
+        if name in names[:i]:
+            raise UsageError(f"--models lists {name!r} more than once")
     aligned, horizon, folds, options = _backtest(args)
     report = evaluate(
         [model_spec(name, _kind_config(args, name, horizon)) for name in names],
@@ -449,7 +451,9 @@ def main(argv=None) -> int:
         GridError,
         InvalidArgumentError,
         FileNotFoundError,
+        FileExistsError,
         IsADirectoryError,
+        NotADirectoryError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

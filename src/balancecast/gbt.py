@@ -11,7 +11,12 @@ the regularized gain
 and leaf weights are the closed-form optimum -G/(H + lambda). Ties are
 broken by lowest feature index, then lowest threshold, which makes training
 deterministic and invariant to row order.
-"""
+
+Every feature is sorted once per training run, the column-block layout of
+XGBoost (Chen & Guestrin, KDD 2016). A node keeps its rows in that sorted
+order, one row of a (features x rows) block per feature, and a split
+partitions the block stably instead of sorting again. Each node then scores
+all features at once with prefix sums along the block's rows."""
 
 from __future__ import annotations
 
@@ -62,6 +67,12 @@ def _score(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     denom = h_sum + reg_lambda
     score = 0.0 if denom == 0.0 else g_sum * g_sum / denom
     return score if math.isfinite(score) else 0.0
+
+
+def _scores(g_sum: np.ndarray, h_sum: np.ndarray, reg_lambda: float) -> np.ndarray:
+    # Elementwise _score for candidate children, without its overflow guard.
+    denom = h_sum + reg_lambda
+    return np.divide(g_sum * g_sum, denom, out=np.zeros_like(denom), where=denom != 0)
 
 
 def split_gain(
@@ -137,76 +148,104 @@ def tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_split(
-    x: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray, cfg: GbtConfig
-) -> tuple[float, int, float] | None:
-    """Highest-gain (feature, midpoint) candidate for the rows in ``idx``.
+def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature row order (ties by row index) and the sorted values, (p, n) each."""
+    order = np.argsort(x.T, axis=1, kind="stable")
+    return order, np.take_along_axis(x.T, order, axis=1)
 
-    Candidates where either child's Hessian sum falls below
-    ``min_child_weight`` are skipped. Returns None when no candidate exists.
+
+def _best_split(
+    g: np.ndarray,
+    h: np.ndarray,
+    order: np.ndarray,
+    values: np.ndarray,
+    g_total: float,
+    h_total: float,
+    cfg: GbtConfig,
+) -> tuple[float, int, float] | None:
+    """Highest-gain (feature, midpoint) candidate for one node.
+
+    ``order`` holds the node's rows sorted by each feature and ``values`` the
+    matching feature values, one row per feature. Every feature is scored in
+    one pass: the prefix sums run along each row, so each candidate's gain is
+    the one a per-feature scan would compute. Candidates where either child's
+    Hessian sum falls below ``min_child_weight`` are skipped, and so is a
+    feature with no candidate left. Returns None when no candidate exists.
     """
-    g_total = float(g[idx].sum())
-    h_total = float(h[idx].sum())
-    parent = _score(g_total, h_total, cfg.reg_lambda)
+    g_left = np.cumsum(g[order], axis=1)[:, :-1]
+    h_left = np.cumsum(h[order], axis=1)[:, :-1]
+    g_right = g_total - g_left
+    h_right = h_total - h_left
+    valid = values[:, :-1] != values[:, 1:]
+    valid &= h_left >= cfg.min_child_weight
+    valid &= h_right >= cfg.min_child_weight
+    # In place, but in the order of 0.5 * (score_l + score_r - parent) - gamma.
+    gains = _scores(g_left, h_left, cfg.reg_lambda)
+    gains += _scores(g_right, h_right, cfg.reg_lambda)
+    gains -= _score(g_total, h_total, cfg.reg_lambda)
+    gains *= 0.5
+    gains -= cfg.gamma
+    gains[~valid] = -np.inf
+    # Midpoint thresholds ascend along a row, so argmax lands on the lowest
+    # threshold among equal gains within a feature.
+    features = np.arange(order.shape[0])
+    k = gains.argmax(axis=1)
+    thresholds = 0.5 * (values[features, k] + values[features, k + 1])
     best: tuple[float, int, float] | None = None
-    for j in range(x.shape[1]):
-        values = x[idx, j]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        boundary = np.nonzero(vs[:-1] != vs[1:])[0]
-        if boundary.size == 0:
-            continue
-        gs = np.cumsum(g[idx][order])
-        hs = np.cumsum(h[idx][order])
-        g_left = gs[boundary]
-        h_left = hs[boundary]
-        g_right = g_total - g_left
-        h_right = h_total - h_left
-        valid = (h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight)
-        if not valid.any():
-            continue
-        denom_l = h_left + cfg.reg_lambda
-        denom_r = h_right + cfg.reg_lambda
-        score_l = np.divide(g_left * g_left, denom_l, out=np.zeros_like(denom_l), where=denom_l != 0)
-        score_r = np.divide(g_right * g_right, denom_r, out=np.zeros_like(denom_r), where=denom_r != 0)
-        gains = 0.5 * (score_l + score_r - parent) - cfg.gamma
-        gains[~valid] = -np.inf
-        k = int(np.argmax(gains))
-        gain = float(gains[k])
-        # Midpoint thresholds ascend with k, so argmax already lands on the
-        # lowest threshold among equal gains within a feature.
-        if best is None or gain > best[0]:
-            b = boundary[k]
-            best = (gain, j, float(0.5 * (vs[b] + vs[b + 1])))
+    # A feature without a valid candidate is skipped, not scored -inf: a
+    # NaN gain met first must still block every later feature.
+    for j, (ok, gain, threshold) in enumerate(
+        zip(valid.any(axis=1).tolist(), gains[features, k].tolist(), thresholds.tolist())
+    ):
+        if ok and (best is None or gain > best[0]):
+            best = (gain, j, threshold)
     return best
 
 
-def _grow(
+def _grow_tree(
     x: np.ndarray,
+    presorted: tuple[np.ndarray, np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
     cfg: GbtConfig,
+    out: np.ndarray,
 ) -> TreeNode:
-    def leaf() -> TreeNode:
+    """Grow one tree depth-first and write each row's leaf weight into ``out``.
+
+    A node holds its rows in ascending order (``idx``, which fixes the
+    summation order of its totals) and, per feature, in sorted order. A
+    split partitions the sorted blocks stably, so no node sorts again.
+    """
+    p = x.shape[1]
+    # side[i] tells whether row i goes left at the split being made; a node
+    # reads only the entries of its own rows.
+    side = np.empty(x.shape[0], dtype=bool)
+
+    def grow(idx: np.ndarray, order: np.ndarray, values: np.ndarray, depth: int) -> TreeNode:
+        g_total = float(g[idx].sum())
+        h_total = float(h[idx].sum())
+        best = None
+        if depth < cfg.max_depth and idx.size >= 2:
+            best = _best_split(g, h, order, values, g_total, h_total, cfg)
+        if best is None or best[0] <= 0.0:
+            weight = leaf_weight(g_total, h_total, cfg.reg_lambda)
+            out[idx] = weight
+            return TreeNode(weight=weight)
+        _, feature, threshold = best
+        mask = x[idx, feature] <= threshold
+        side[idx] = mask
+        sel = side[order]
+        rest = ~sel
         return TreeNode(
-            weight=leaf_weight(float(g[idx].sum()), float(h[idx].sum()), cfg.reg_lambda)
+            feature=feature,
+            threshold=threshold,
+            left=grow(idx[mask], order[sel].reshape(p, -1), values[sel].reshape(p, -1), depth + 1),
+            right=grow(
+                idx[~mask], order[rest].reshape(p, -1), values[rest].reshape(p, -1), depth + 1
+            ),
         )
 
-    if depth >= cfg.max_depth or idx.size < 2:
-        return leaf()
-    best = _best_split(x, g, h, idx, cfg)
-    if best is None or best[0] <= 0.0:
-        return leaf()
-    _, feature, threshold = best
-    mask = x[idx, feature] <= threshold
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(x, g, h, idx[mask], depth + 1, cfg),
-        right=_grow(x, g, h, idx[~mask], depth + 1, cfg),
-    )
+    return grow(np.arange(x.shape[0]), *presorted, 0)
 
 
 def fit_tree(d: Dataset, g, h, cfg: GbtConfig) -> TreeNode:
@@ -219,7 +258,8 @@ def fit_tree(d: Dataset, g, h, cfg: GbtConfig) -> TreeNode:
         raise InvalidArgumentError(
             f"{len(g)} gradients and {len(h)} Hessians for {d.n_rows} rows"
         )
-    return _grow(d.features, g, h, np.arange(d.n_rows), 0, cfg)
+    x = d.features
+    return _grow_tree(x, _presort(x), g, h, cfg, np.empty(d.n_rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,12 +289,13 @@ def gbt_train(d: Dataset, cfg: GbtConfig = GbtConfig()) -> GbtModel:
     trees: list[TreeNode] = []
     g = np.empty(n)
     h = np.ones(n)
-    idx = np.arange(n)
+    # Features never change across trees: sort them once.
+    presorted = _presort(d.features)
+    leaf_out = np.empty(n)
     for _ in range(cfg.n_trees):
         np.subtract(pred, y, out=g)
-        root = _grow(d.features, g, h, idx, 0, cfg)
-        trees.append(root)
-        pred = pred + cfg.learning_rate * tree_predict(root, d.features)
+        trees.append(_grow_tree(d.features, presorted, g, h, cfg, leaf_out))
+        pred = pred + cfg.learning_rate * leaf_out
         mse.append(float(np.mean((y - pred) ** 2)))
     return GbtModel(
         trees=tuple(trees),

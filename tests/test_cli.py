@@ -74,6 +74,16 @@ class TestSynth:
     def test_zero_rows_is_usage_error(self, tmp_path):
         assert run("synth", "--n-rows", "0", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_under_a_regular_file_exits_3(self, tmp_path, out):
+        (tmp_path / "afile").write_text("keep\n")
+        code, stderr = run_process("synth", "--n-rows", "20", "--out", out, cwd=tmp_path)
+        assert code == 3
+        assert stderr.startswith("error: ")
+        assert "Traceback" not in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert (tmp_path / "afile").read_text() == "keep\n"
+
 
 class TestTrain:
     @pytest.mark.parametrize("kind", ["naive", "gbt", "ebm", "stacked"])
@@ -309,6 +319,16 @@ class TestEvaluate:
             row = (out / "report.csv").read_text().splitlines()[2].split(",")
             kept.append(int(row[5]))
         assert kept[0] >= kept[1] >= kept[2]
+
+    def test_repeated_model_kind_usage_error(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--data", str(data_dir / "dataset.csv"),
+            "--models", "naive,gbt,naive", "--initial-train", "400",
+            "--test-len", "134", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
 
     def test_missing_fold_params_usage_error(self, data_dir, tmp_path):
         code = run(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balancecast import (
@@ -23,8 +23,10 @@ from balancecast import (
     gbt_train,
     leaf_weight,
     split_gain,
+    tree_predict,
 )
-from balancecast.data import CONTINUOUS
+from balancecast.data import CONTINUOUS, SyntheticConfig, align_horizon, generate_synthetic
+from balancecast.persistence import save_model, tree_to_dict
 
 
 def schema_for(p):
@@ -97,6 +99,168 @@ def leaf_members(root, x):
             node = node.left if row[node.feature] <= node.threshold else node.right
         members.setdefault(id(node), (node, []))[1].append(i)
     return list(members.values())
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the per-node, per-feature exact search that the
+# presorted all-feature search replaced. Trees must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_best_split(x, g, h, idx, cfg):
+    g_total = float(g[idx].sum())
+    h_total = float(h[idx].sum())
+    parent = oracle_term(g_total, h_total, cfg.reg_lambda)
+    best = None
+    for j in range(x.shape[1]):
+        values = x[idx, j]
+        order = np.argsort(values, kind="stable")
+        vs = values[order]
+        boundary = np.nonzero(vs[:-1] != vs[1:])[0]
+        if boundary.size == 0:
+            continue
+        gs = np.cumsum(g[idx][order])
+        hs = np.cumsum(h[idx][order])
+        g_left = gs[boundary]
+        h_left = hs[boundary]
+        g_right = g_total - g_left
+        h_right = h_total - h_left
+        valid = (h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight)
+        if not valid.any():
+            continue
+        denom_l = h_left + cfg.reg_lambda
+        denom_r = h_right + cfg.reg_lambda
+        score_l = np.divide(g_left * g_left, denom_l, out=np.zeros_like(denom_l), where=denom_l != 0)
+        score_r = np.divide(g_right * g_right, denom_r, out=np.zeros_like(denom_r), where=denom_r != 0)
+        gains = 0.5 * (score_l + score_r - parent) - cfg.gamma
+        gains[~valid] = -np.inf
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        if best is None or gain > best[0]:
+            b = boundary[k]
+            best = (gain, j, float(0.5 * (vs[b] + vs[b + 1])))
+    return best
+
+
+def reference_grow(x, g, h, idx, depth, cfg):
+    def leaf():
+        return TreeNode(
+            weight=leaf_weight(float(g[idx].sum()), float(h[idx].sum()), cfg.reg_lambda)
+        )
+
+    if depth >= cfg.max_depth or idx.size < 2:
+        return leaf()
+    best = reference_best_split(x, g, h, idx, cfg)
+    if best is None or best[0] <= 0.0:
+        return leaf()
+    _, feature, threshold = best
+    mask = x[idx, feature] <= threshold
+    return TreeNode(
+        feature=feature,
+        threshold=threshold,
+        left=reference_grow(x, g, h, idx[mask], depth + 1, cfg),
+        right=reference_grow(x, g, h, idx[~mask], depth + 1, cfg),
+    )
+
+
+def reference_fit_tree(d, g, h, cfg):
+    return reference_grow(d.features, g, h, np.arange(d.n_rows), 0, cfg)
+
+
+def reference_gbt_train(d, cfg):
+    y = d.target
+    base = float(y.mean())
+    pred = np.full(d.n_rows, base)
+    mse = [float(np.mean((y - pred) ** 2))]
+    trees = []
+    h = np.ones(d.n_rows)
+    for _ in range(cfg.n_trees):
+        root = reference_fit_tree(d, pred - y, h, cfg)
+        trees.append(root)
+        pred = pred + cfg.learning_rate * tree_predict(root, d.features)
+        mse.append(float(np.mean((y - pred) ** 2)))
+    return GbtModel(tuple(trees), base, cfg, d.schema, tuple(mse))
+
+
+def tree_outcome(fit):
+    """The tree's JSON encoding (exact to the bit), or the error it raised."""
+    try:
+        return json.dumps(tree_to_dict(fit()))
+    except DegenerateLeafError as exc:
+        return f"DegenerateLeafError: {exc}"
+
+
+@st.composite
+def tied_tree_problems(draw):
+    """Small feature matrices full of ties, with arbitrary g and h."""
+    n = draw(st.integers(2, 24))
+    p = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(p):
+        if draw(st.booleans()):
+            columns.append([draw(st.sampled_from([-1.0, 0.0, 2.5]))] * n)
+        else:
+            columns.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    x = np.array(columns, dtype=np.float64).T
+    g_values = st.one_of(st.floats(-10, 10), st.integers(-4, 4).map(float))
+    g = np.array(draw(st.lists(g_values, min_size=n, max_size=n)))
+    h_values = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 2.0]), st.floats(0, 3))
+    h = np.array(draw(st.lists(h_values, min_size=n, max_size=n)))
+    # Now and then one extreme entry: enough to reach the NaN, overflow and
+    # negative-Hessian paths without making every example degenerate.
+    if draw(st.integers(0, 3)) == 0:
+        g[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    if draw(st.integers(0, 3)) == 0:
+        h[draw(st.integers(0, n - 1))] = draw(st.sampled_from([5e-324, -0.25, -5e-324]))
+    cfg = GbtConfig(
+        max_depth=draw(st.integers(1, 4)),
+        reg_lambda=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+    )
+    return x, g, h, cfg
+
+
+# Feature 0 has no candidate; an infinite gradient gives feature 1 a NaN gain
+# and feature 2 an infinite one. The NaN, met first, wins, and a NaN gain
+# splits: the root splits on feature 1.
+NAN_BLOCKS_LATER_FEATURES = (
+    np.array([[5.0, 0.0, 3.0], [5.0, 1.0, 0.0], [5.0, 2.0, 2.0]]),
+    np.array([math.inf, 1.0, 1.0]),
+    np.ones(3),
+    GbtConfig(max_depth=2),
+)
+# No valid candidate and a negative Hessian sum: both raise the same error.
+DEGENERATE_ROOT = (
+    np.array([[0.0], [1.0], [2.0]]),
+    np.array([1.0, -1.0, 1.0]),
+    np.full(3, -0.25),
+    GbtConfig(reg_lambda=0.0, min_child_weight=0.0),
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_tree_problems())
+    @example(NAN_BLOCKS_LATER_FEATURES)
+    @example(DEGENERATE_ROOT)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fit_tree_bit_identical(self, problem):
+        x, g, h, cfg = problem
+        d = dataset_for(x)
+        expected = tree_outcome(lambda: reference_fit_tree(d, g, h, cfg))
+        assert tree_outcome(lambda: fit_tree(d, g, h, cfg)) == expected
+
+    def test_gbt_train_bit_identical_on_synth(self, tmp_path):
+        dataset, _ = generate_synthetic(SyntheticConfig(n_rows=2000, seed=1))
+        sub = align_horizon(dataset, 32).slice_rows(0, 1200)
+        cfg = GbtConfig(n_trees=20)
+        model = gbt_train(sub, cfg)
+        ref = reference_gbt_train(sub, cfg)
+        save_model(model, 32, tmp_path / "model.json")
+        save_model(ref, 32, tmp_path / "reference.json")
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+        assert model.train_mse == ref.train_mse
 
 
 class TestSplitGain:
