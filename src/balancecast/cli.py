@@ -278,8 +278,9 @@ def cmd_train(args) -> None:
     if kind not in KINDS:
         raise UsageError(f"--model must be one of {', '.join(KINDS)}, got {kind!r}")
     aligned, horizon = _aligned(args)
-    model = KINDS[kind].train(aligned, _kind_config(args, kind, horizon))
+    cfg = _kind_config(args, kind, horizon)
     out = _out_dir(args)
+    model = KINDS[kind].train(aligned, cfg)
     save_model(model, horizon, out / "model.json")
     print(f"wrote {out / 'model.json'} (kind={kind}, horizon={horizon})")
 
@@ -341,13 +342,9 @@ def cmd_evaluate(args) -> None:
         if name in names[:i]:
             raise UsageError(f"--models lists {name!r} more than once")
     aligned, horizon, folds, options = _backtest(args)
-    report = evaluate(
-        [model_spec(name, _kind_config(args, name, horizon)) for name in names],
-        aligned,
-        folds,
-        **options,
-    )
+    specs = [model_spec(name, _kind_config(args, name, horizon)) for name in names]
     out = _out_dir(args)
+    report = evaluate(specs, aligned, folds, **options)
     report.save(out)
     print(report.format_table())
     print(f"wrote {out / 'report.csv'}, {out / 'report.txt'}, {out / 'predictions.csv'}")
@@ -414,13 +411,14 @@ def cmd_grid(args) -> None:
         raise UsageError("grid search needs at least one --param")
     aligned, _horizon, folds, options = _backtest(args)
     names = [name for name, _ in grid]
-    results = []
-    for combo in itertools.product(*(values for _, values in grid)):
-        spec = model_spec(kind, _config(args, kind, **dict(zip(names, combo))))
-        report = evaluate([spec], aligned, folds, **options)
-        results.append((combo, report.rows[0].metrics))
-    results.sort(key=lambda r: (r[1].mae, r[0]))
+    combos = list(itertools.product(*(values for _, values in grid)))
+    specs = [model_spec(kind, _config(args, kind, **dict(zip(names, c)))) for c in combos]
     out = _out_dir(args)
+    results = [
+        (combo, evaluate([spec], aligned, folds, **options).rows[0].metrics)
+        for combo, spec in zip(combos, specs)
+    ]
+    results.sort(key=lambda r: (r[1].mae, r[0]))
     write_csv_lines(
         out / "grid.csv",
         [*names, "mae", "rmse", "r2"],

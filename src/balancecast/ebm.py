@@ -130,56 +130,53 @@ class EbmModel:
     train_mse: tuple[float, ...] = field(repr=False, default=())
 
 
-def _fit_leaf_steps(counts: np.ndarray, sums: np.ndarray, max_leaves: int) -> np.ndarray:
+def _fit_leaf_steps(count_cum: np.ndarray, sums: np.ndarray, max_leaves: int) -> np.ndarray:
     """Piecewise-constant residual step over bin indices.
 
     Greedy best-first segmentation of the bin axis into at most
     ``max_leaves`` contiguous leaves, each valued at its mean residual.
     Split candidates that would isolate an empty side are skipped, so edge
     bins without training rows always share a leaf with their nearest
-    populated neighbor.
+    populated neighbor. Only a positive reduction splits; ties go to the
+    first segment and split point, and a NaN candidate blocks its segment.
+
+    Exactness: ``count_cum`` is ``[0, cumsum(counts)]`` of integer-valued
+    counts, so its differences are exact. A segment's residual total is its
+    pairwise ``sums[lo:hi].sum()`` and its left sums are its own ``cumsum``
+    (``cumsum(sums)`` only from bin 0), never prefix differences.
     """
-    n_bins = len(counts)
-    segments: list[tuple[int, int]] = [(0, n_bins)]
+    sums_cum = np.cumsum(sums)
 
     def best_split(lo: int, hi: int) -> tuple[float, int] | None:
-        c = counts[lo:hi]
-        s = sums[lo:hi]
-        c_tot = c.sum()
-        if c_tot == 0 or hi - lo < 2:
+        # Splitting before bin ``at`` leaves rows on both sides exactly for
+        # ``a <= at < b``, since ``count_cum`` never decreases.
+        a = int(np.searchsorted(count_cum, count_cum[lo], side="right"))
+        b = int(np.searchsorted(count_cum, count_cum[hi], side="left"))
+        if a >= b:
             return None
-        c_left = np.cumsum(c)[:-1]
-        s_left = np.cumsum(s)[:-1]
-        c_right = c_tot - c_left
-        s_right = (s.sum()) - s_left
-        ok = (c_left > 0) & (c_right > 0)
-        if not ok.any():
-            return None
-        base = s.sum() ** 2 / c_tot
-        with np.errstate(divide="ignore", invalid="ignore"):
-            red = np.where(
-                ok,
-                s_left**2 / np.where(c_left > 0, c_left, 1)
-                + s_right**2 / np.where(c_right > 0, c_right, 1)
-                - base,
-                -np.inf,
-            )
+        c_left = count_cum[a:b] - count_cum[lo]
+        c_tot = count_cum[hi] - count_cum[lo]
+        s_tot = sums[lo:hi].sum()
+        s_left = sums_cum[a - 1:b - 1] if lo == 0 else np.cumsum(sums[lo:b - 1])[a - lo - 1:]
+        red = s_left**2 / c_left + (s_tot - s_left) ** 2 / (c_tot - c_left) - s_tot**2 / c_tot
         k = int(np.argmax(red))
-        return float(red[k]), lo + k + 1
+        return (float(red[k]), a + k) if red[k] > 0.0 else None
 
+    segments = [(0, len(sums))]
     while len(segments) < max_leaves:
-        candidates = [(best_split(lo, hi), i) for i, (lo, hi) in enumerate(segments)]
-        candidates = [(r, i) for r, i in candidates if r is not None and r[0] > 0.0]
-        if not candidates:
+        best = None
+        for i, (lo, hi) in enumerate(segments):
+            split = best_split(lo, hi)
+            if split is not None and (best is None or split[0] > best[0]):
+                best = (*split, i)
+        if best is None:
             break
-        (_, split_at), seg_i = max(candidates, key=lambda c: c[0][0])
-        lo, hi = segments.pop(seg_i)
-        segments.insert(seg_i, (split_at, hi))
-        segments.insert(seg_i, (lo, split_at))
+        _, at, i = best
+        segments[i:i + 1] = [(segments[i][0], at), (at, segments[i][1])]
 
-    delta = np.zeros(n_bins)
+    delta = np.zeros(len(sums))
     for lo, hi in segments:
-        c_tot = counts[lo:hi].sum()
+        c_tot = count_cum[hi] - count_cum[lo]
         if c_tot > 0:
             delta[lo:hi] = sums[lo:hi].sum() / c_tot
     return delta
@@ -202,18 +199,21 @@ def ebm_train(d: Dataset, cfg: EbmConfig = EbmConfig()) -> EbmModel:
         np.bincount(bin_idx[j], minlength=bins.n_bins(j)).astype(np.float64)
         for j in range(p)
     ]
+    count_cum = [np.concatenate(([0.0], np.cumsum(c))) for c in counts]
     y = d.target
     intercept = float(y.mean())
     pred = np.full(n, intercept)
+    residual = np.empty(n)
     shape_values = [np.zeros(bins.n_bins(j)) for j in range(p)]
     mse = [float(np.mean((y - pred) ** 2))]
     for _ in range(cfg.outer_rounds):
         for j in range(p):
-            residual = y - pred
+            np.subtract(y, pred, out=residual)
             sums = np.bincount(bin_idx[j], weights=residual, minlength=bins.n_bins(j))
-            delta = _fit_leaf_steps(counts[j], sums, cfg.max_leaves_per_round)
-            shape_values[j] += cfg.learning_rate * delta
-            pred += cfg.learning_rate * delta[bin_idx[j]]
+            delta = _fit_leaf_steps(count_cum[j], sums, cfg.max_leaves_per_round)
+            step = cfg.learning_rate * delta
+            shape_values[j] += step
+            pred += step[bin_idx[j]]
         mse.append(float(np.mean((y - pred) ** 2)))
     # Center each shape over the training rows; fold the means into the
     # intercept so training predictions are unchanged.

@@ -1,8 +1,9 @@
 """Metrics, expanding-window cross-validation, and deviation-event reports.
 
-Every fold trains a fresh model on all rows before its test window and
+Every fold trains fresh models on all rows before its test window and
 predicts the window that follows, so training data never overlaps or
-postdates the test segment. Test predictions are pooled across folds into a
+postdates the test segment; the stack reuses the fold's EBM when the ebm
+model has the same config. Test predictions are pooled across folds into a
 single evaluated segment, then reported twice: once as-is and once keeping
 only deviation events, the rows where the realized price moved away from the
 spot anchor by more than epsilon.
@@ -117,10 +118,13 @@ Predictor = Callable[[Dataset, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A label plus a trainer that fits on a fold's training slice."""
+    """A label plus a trainer that fits on a fold's training slice; with
+    ``shares_fits`` set it is called as ``fit(train, fitted)``, where the
+    fold's ``fitted`` dict is shared as :class:`ModelKind` describes."""
 
     label: str
-    fit: Callable[[Dataset], Predictor]
+    fit: Callable[..., Predictor]
+    shares_fits: bool = False
 
 
 def model_spec(kind: str, cfg) -> ModelSpec:
@@ -128,11 +132,11 @@ def model_spec(kind: str, cfg) -> ModelSpec:
     fold; :class:`ModelKind` says which cfg each kind takes."""
     entry = KINDS[kind]
 
-    def fit(train: Dataset) -> Predictor:
-        model = entry.train(train, cfg)
+    def fit(train: Dataset, fitted: dict) -> Predictor:
+        model = entry.train(train, cfg, fitted)
         return lambda d, idx: entry.predict(model, d, idx)
 
-    return ModelSpec(label=kind, fit=fit)
+    return ModelSpec(label=kind, fit=fit, shares_fits=True)
 
 
 @dataclass(frozen=True)
@@ -242,17 +246,19 @@ def evaluate(
     y_pool = d.target[test_idx]
     spot_pool = d.spot[test_idx]
     report = EvalReport(issue_timestamps=d.timestamps[test_idx], actual=y_pool)
-    for spec in models:
-        preds = []
-        for fold in folds:
-            train = d.slice_rows(0, fold.train_end)
-            idx = np.arange(fold.test_start, fold.test_end)
-            # Leakage guard: all training timestamps strictly precede the
-            # test window.
-            assert d.timestamps[fold.train_end - 1] < d.timestamps[fold.test_start]
-            predictor = spec.fit(train)
-            preds.append(np.asarray(predictor(d, idx), dtype=np.float64))
-        pred_pool = np.concatenate(preds)
+    preds: list[list[np.ndarray]] = [[] for _ in models]
+    for fold in folds:
+        train = d.slice_rows(0, fold.train_end)
+        idx = np.arange(fold.test_start, fold.test_end)
+        # Leakage guard: all training timestamps strictly precede the test
+        # window.
+        assert d.timestamps[fold.train_end - 1] < d.timestamps[fold.test_start]
+        fitted: dict = {}
+        for spec, spec_preds in zip(models, preds):
+            predictor = spec.fit(train, fitted) if spec.shares_fits else spec.fit(train)
+            spec_preds.append(np.asarray(predictor(d, idx), dtype=np.float64))
+    for spec, spec_preds in zip(models, preds):
+        pred_pool = np.concatenate(spec_preds)
         report.predictions[spec.label] = pred_pool
         pooled = compute_metrics(y_pool, pred_pool)
         y_kept, pred_kept, n_orig, n_filter = filter_deviation_events(

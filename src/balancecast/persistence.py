@@ -125,11 +125,12 @@ def stacked_from_dict(doc: dict) -> stacking.StackedModel:
 class ModelKind:
     """One model kind.
 
-    ``train(d, cfg)`` fits a model, where ``cfg`` is the forecast horizon for
-    naive, a ``GbtConfig`` for gbt, an ``EbmConfig`` for ebm and an
-    ``(EbmConfig, GbtConfig)`` pair for stacked. ``predict(model, d, rows)``
-    forecasts the rows of ``d`` that ``rows`` (an index array or a slice)
-    selects.
+    ``train(d, cfg, fitted=None)`` fits a model, where ``cfg`` is the
+    forecast horizon for naive, a ``GbtConfig`` for gbt, an ``EbmConfig`` for
+    ebm and an ``(EbmConfig, GbtConfig)`` pair for stacked. Both of the last
+    two take the EBM from ``fitted[ebm_cfg]`` (EBMs already fitted on ``d``)
+    or fit it and store it there. ``predict(model, d, rows)`` forecasts the
+    rows of ``d`` that ``rows`` (an index array or a slice) selects.
     """
 
     name: str
@@ -140,6 +141,14 @@ class ModelKind:
     from_dict: Callable
 
 
+def _ebm(d, cfg: ebm.EbmConfig, fitted: dict | None) -> ebm.EbmModel:
+    """``fitted[cfg]``, fitting it on ``d`` first if it is not there."""
+    fitted = {} if fitted is None else fitted
+    if cfg not in fitted:
+        fitted[cfg] = ebm.ebm_train(d, cfg)
+    return fitted[cfg]
+
+
 # train and predict look the model functions up on their modules at call
 # time, so wrappers installed on those modules (tracing, test doubles) apply.
 KINDS = {
@@ -148,7 +157,7 @@ KINDS = {
         ModelKind(
             name="naive",
             model_type=NaiveModel,
-            train=lambda d, horizon: NaiveModel(horizon_steps=horizon),
+            train=lambda d, horizon, fitted=None: NaiveModel(horizon_steps=horizon),
             predict=lambda m, d, rows: naive_forecast(d.target, m.horizon_steps, rows),
             to_dict=lambda m: {"horizon_steps": m.horizon_steps},
             from_dict=lambda doc: NaiveModel(horizon_steps=int(doc["horizon_steps"])),
@@ -156,7 +165,7 @@ KINDS = {
         ModelKind(
             name="gbt",
             model_type=gbt.GbtModel,
-            train=lambda d, cfg: gbt.gbt_train(d, cfg),
+            train=lambda d, cfg, fitted=None: gbt.gbt_train(d, cfg),
             predict=lambda m, d, rows: gbt.gbt_predict_batch(m, d.features[rows]),
             to_dict=gbt_to_dict,
             from_dict=gbt_from_dict,
@@ -164,7 +173,7 @@ KINDS = {
         ModelKind(
             name="ebm",
             model_type=ebm.EbmModel,
-            train=lambda d, cfg: ebm.ebm_train(d, cfg),
+            train=lambda d, cfg, fitted=None: _ebm(d, cfg, fitted),
             predict=lambda m, d, rows: ebm.ebm_predict_batch(m, d.features[rows]),
             to_dict=ebm_to_dict,
             from_dict=ebm_from_dict,
@@ -172,7 +181,9 @@ KINDS = {
         ModelKind(
             name="stacked",
             model_type=stacking.StackedModel,
-            train=lambda d, cfg: stacking.stacked_train(d, *cfg),
+            train=lambda d, cfg, fitted=None: stacking.stacked_train(
+                d, *cfg, base=_ebm(d, cfg[0], fitted)
+            ),
             predict=lambda m, d, rows: stacking.stacked_predict_batch(m, d.features[rows]),
             to_dict=stacked_to_dict,
             from_dict=stacked_from_dict,

@@ -37,9 +37,12 @@ def stacked_train(
     d: Dataset,
     ebm_cfg: EbmConfig = EbmConfig(),
     gbt_cfg: GbtConfig = META_GBT_DEFAULTS,
+    base: EbmModel | None = None,
 ) -> StackedModel:
-    """Fit the base model, then boost trees on its training residuals."""
-    base = ebm_train(d, ebm_cfg)
+    """Fit the base model (or take ``base``, an EBM already fitted on ``d``
+    with ``ebm_cfg``), then boost trees on its training residuals."""
+    if base is None:
+        base = ebm_train(d, ebm_cfg)
     residuals = d.target - ebm_predict_batch(base, d.features)
     meta = gbt_train(d.with_target(residuals), gbt_cfg)
     return StackedModel(base=base, meta=meta, schema=d.schema)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from balancecast import ebm, gbt, stacking
 from balancecast import ebm_predict_batch, load_csv, load_model, synthetic_schema
 from balancecast.cli import main
 from balancecast.data import align_horizon
@@ -83,6 +84,52 @@ class TestSynth:
         assert "Traceback" not in stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
         assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+# One command per kind of work that fits models; each gets ``--out``.
+FITTING_COMMANDS = {
+    "train": ["train", "--model", "stacked", "--outer-rounds", "5", "--meta-n-trees", "3"],
+    "evaluate": ["evaluate", "--initial-train", "400", "--test-len", "134"],
+    "grid": ["grid", "--model", "ebm", "--param", "outer_rounds=5,6",
+             "--initial-train", "400", "--test-len", "134"],
+}
+
+
+class TestOutResolvedBeforeFitting:
+    @pytest.mark.parametrize("command", FITTING_COMMANDS)
+    def test_out_under_a_regular_file_exits_3(self, data_dir, tmp_path, command):
+        (tmp_path / "afile").write_text("keep\n")
+        code, stderr = run_process(
+            *FITTING_COMMANDS[command], "--data", str(data_dir / "dataset.csv"),
+            "--out", "afile/sub", cwd=tmp_path,
+        )
+        assert code == 3
+        assert stderr.startswith("error: ")
+        assert "Traceback" not in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    @pytest.mark.parametrize("command", FITTING_COMMANDS)
+    def test_no_model_is_fitted(self, data_dir, tmp_path, monkeypatch, command):
+        fits = []
+
+        def refuse(name):
+            def fit(*args, **kwargs):
+                fits.append(name)
+                raise AssertionError(f"{name} called before --out was resolved")
+
+            return fit
+
+        for module in (gbt, stacking):
+            monkeypatch.setattr(module, "gbt_train", refuse("gbt_train"))
+        for module in (ebm, stacking):
+            monkeypatch.setattr(module, "ebm_train", refuse("ebm_train"))
+        (tmp_path / "afile").write_text("keep\n")
+        code = run(
+            *FITTING_COMMANDS[command], "--data", str(data_dir / "dataset.csv"),
+            "--out", str(tmp_path / "afile" / "sub"),
+        )
+        assert code == 3
+        assert fits == []
 
 
 class TestTrain:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from balancecast import (
     BinMap,
     Dataset,
@@ -24,7 +27,15 @@ from balancecast import (
     export_shapes,
     global_importance,
 )
-from balancecast.data import CONTINUOUS, hydro_price_response
+from balancecast import ebm
+from balancecast.data import (
+    CONTINUOUS,
+    SyntheticConfig,
+    align_horizon,
+    generate_synthetic,
+    hydro_price_response,
+)
+from balancecast.persistence import save_model
 
 
 def schema_for(p):
@@ -350,3 +361,164 @@ class TestEbmPersistence:
         m = manual_model([[0.5]], [[0.0, 1.0]])
         doc = ebm_to_dict(m)
         assert set(doc) == {"intercept", "bins", "shapes", "config", "schema"}
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the feature step that recomputed every segment's
+# candidates from scratch. Steps and models must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_fit_leaf_steps(counts, sums, max_leaves):
+    n_bins = len(counts)
+    segments = [(0, n_bins)]
+
+    def best_split(lo, hi):
+        c = counts[lo:hi]
+        s = sums[lo:hi]
+        c_tot = c.sum()
+        if c_tot == 0 or hi - lo < 2:
+            return None
+        c_left = np.cumsum(c)[:-1]
+        s_left = np.cumsum(s)[:-1]
+        c_right = c_tot - c_left
+        s_right = (s.sum()) - s_left
+        ok = (c_left > 0) & (c_right > 0)
+        if not ok.any():
+            return None
+        base = s.sum() ** 2 / c_tot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            red = np.where(
+                ok,
+                s_left**2 / np.where(c_left > 0, c_left, 1)
+                + s_right**2 / np.where(c_right > 0, c_right, 1)
+                - base,
+                -np.inf,
+            )
+        k = int(np.argmax(red))
+        return float(red[k]), lo + k + 1
+
+    while len(segments) < max_leaves:
+        candidates = [(best_split(lo, hi), i) for i, (lo, hi) in enumerate(segments)]
+        candidates = [(r, i) for r, i in candidates if r is not None and r[0] > 0.0]
+        if not candidates:
+            break
+        (_, split_at), seg_i = max(candidates, key=lambda c: c[0][0])
+        lo, hi = segments.pop(seg_i)
+        segments.insert(seg_i, (split_at, hi))
+        segments.insert(seg_i, (lo, split_at))
+
+    delta = np.zeros(n_bins)
+    for lo, hi in segments:
+        c_tot = counts[lo:hi].sum()
+        if c_tot > 0:
+            delta[lo:hi] = sums[lo:hi].sum() / c_tot
+    return delta
+
+
+def reference_ebm_train(d, cfg):
+    n = d.n_rows
+    p = d.n_features
+    bins = build_bins(d, cfg.max_bins)
+    bin_idx = [bins.bin_index(j, d.features[:, j]) for j in range(p)]
+    counts = [
+        np.bincount(bin_idx[j], minlength=bins.n_bins(j)).astype(np.float64)
+        for j in range(p)
+    ]
+    y = d.target
+    intercept = float(y.mean())
+    pred = np.full(n, intercept)
+    shape_values = [np.zeros(bins.n_bins(j)) for j in range(p)]
+    mse = [float(np.mean((y - pred) ** 2))]
+    for _ in range(cfg.outer_rounds):
+        for j in range(p):
+            residual = y - pred
+            sums = np.bincount(bin_idx[j], weights=residual, minlength=bins.n_bins(j))
+            delta = reference_fit_leaf_steps(counts[j], sums, cfg.max_leaves_per_round)
+            shape_values[j] += cfg.learning_rate * delta
+            pred += cfg.learning_rate * delta[bin_idx[j]]
+        mse.append(float(np.mean((y - pred) ** 2)))
+    for j in range(p):
+        mean_j = float((counts[j] * shape_values[j]).sum() / n)
+        shape_values[j] -= mean_j
+        intercept += mean_j
+    shapes = tuple(ShapeFunction(feature_index=j, values=shape_values[j]) for j in range(p))
+    return EbmModel(
+        intercept=intercept, shapes=shapes, bins=bins, schema=d.schema, config=cfg,
+        train_mse=tuple(mse),
+    )
+
+
+@st.composite
+def leaf_step_problems(draw):
+    """Bin counts with empty bins and empty edges, and residual sums that
+    are either arbitrary or the counts times one mean. With one mean every
+    reduction is zero in exact arithmetic, so whether a split happens rests
+    on rounding alone; the +-1e200 entries make squares overflow to inf and
+    reductions turn NaN."""
+    n_bins = draw(st.integers(1, 16))
+    count_values = st.one_of(st.just(0), st.integers(0, 3))
+    counts = np.array(draw(st.lists(count_values, min_size=n_bins, max_size=n_bins)), dtype=np.float64)
+    if draw(st.booleans()):
+        sums = counts * draw(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, -0.2]))
+    else:
+        sum_values = st.one_of(
+            st.floats(-10, 10),
+            st.integers(-5, 5).map(float),
+            st.sampled_from([1e200, -1e200]),
+        )
+        sums = np.array(draw(st.lists(sum_values, min_size=n_bins, max_size=n_bins)))
+    return counts, sums, draw(st.integers(1, 8))
+
+
+def leaf_steps(counts, sums, max_leaves):
+    count_cum = np.concatenate(([0.0], np.cumsum(counts)))
+    return ebm._fit_leaf_steps(count_cum, sums, max_leaves)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(leaf_step_problems())
+    @example((np.array([0.0]), np.array([1.0]), 3))
+    @example((np.array([2.0, 0.0]), np.array([1.0, 0.0]), 2))
+    @example((np.array([0.0, 1.0, 0.0]), np.array([0.0, 3.0, 0.0]), 8))
+    # Both candidates reduce by NaN: neither the segment nor its step splits.
+    @example((np.array([1.0, 1.0, 1.0]), np.array([1e200, -1e200, 1e200]), 3))
+    # One mean: a zero reduction must not split, and the rounding of a
+    # segment's total (pairwise sum) and of a right-hand segment's left sums
+    # (its own cumsum) decides whether a tiny positive one does.
+    @example((np.array([1.0, 2.0]), np.array([0.1, 0.2]), 4))
+    @example((np.array([1.0, 2.0, 2.0, 2.0]), np.array([0.1, 0.2, 0.2, 0.2]), 4))
+    @example((np.array([2.0, 1.0, 2.0, 2.0, 2.0]), np.array([0.2, 0.1, 0.2, 0.2, 0.2]), 4))
+    # Two segments tie for the best reduction: the first one splits.
+    @example((np.array([2.0, 1.0, 2.0, 1.0]), np.array([-1.0, -2.0, 1.0, -1.0]), 3))
+    def test_fit_leaf_steps_bit_identical(self, problem):
+        counts, sums, max_leaves = problem
+        with np.errstate(all="ignore"):
+            expected = reference_fit_leaf_steps(counts, sums, max_leaves)
+            got = leaf_steps(counts, sums, max_leaves)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1200, 1584])
+    @pytest.mark.parametrize(
+        "cfg", [EbmConfig(), EbmConfig(max_bins=32, max_leaves_per_round=5)],
+        ids=["default", "bins32-leaves5"],
+    )
+    def test_ebm_train_bit_identical_on_synth(self, tmp_path, n_rows, cfg):
+        dataset, _ = generate_synthetic(SyntheticConfig(n_rows=2000, seed=1))
+        self.assert_same_model(tmp_path, align_horizon(dataset, 32).slice_rows(0, n_rows), cfg)
+
+    def test_ebm_train_bit_identical_on_a_year(self, tmp_path):
+        dataset, _ = generate_synthetic(SyntheticConfig(n_rows=35040, seed=1))
+        year = align_horizon(dataset, 1)
+        assert year.n_rows == 35039
+        self.assert_same_model(tmp_path, year, EbmConfig())
+
+    @staticmethod
+    def assert_same_model(tmp_path, d, cfg):
+        model = ebm_train(d, cfg)
+        ref = reference_ebm_train(d, cfg)
+        save_model(model, 32, tmp_path / "model.json")
+        save_model(ref, 32, tmp_path / "reference.json")
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+        assert model.train_mse == ref.train_mse

@@ -20,6 +20,7 @@ from balancecast import (
     filter_deviation_events,
     model_spec,
 )
+from balancecast import ebm, stacking
 from balancecast.data import CONTINUOUS
 
 
@@ -302,6 +303,73 @@ class TestEvaluate:
         )
         assert len(report.rows) == 6
         assert all(r.metrics is not None for r in report.rows if not r.filtered)
+
+
+SHARED_EBM = EbmConfig(outer_rounds=10, learning_rate=0.3, max_bins=16)
+META = GbtConfig(n_trees=4, max_depth=2)
+
+
+def sharing_specs(kinds, stack_ebm=SHARED_EBM):
+    cfgs = {
+        "naive": 32,
+        "gbt": GbtConfig(n_trees=4, max_depth=3),
+        "ebm": SHARED_EBM,
+        "stacked": (stack_ebm, META),
+    }
+    return [model_spec(kind, cfgs[kind]) for kind in kinds]
+
+
+class TestFitSharing:
+    """Within a fold, the stack's base is the ebm model's fit when their
+    configs are equal, whatever their order; outputs do not change."""
+
+    @pytest.fixture
+    def ebm_calls(self, monkeypatch):
+        # Every binding of ebm_train, as the benchmark tracer wraps them.
+        calls = []
+        original = ebm.ebm_train
+
+        def counted(d, cfg=EbmConfig()):
+            calls.append(cfg)
+            return original(d, cfg)
+
+        monkeypatch.setattr(ebm, "ebm_train", counted)
+        monkeypatch.setattr(stacking, "ebm_train", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def backtest(self, aligned_spiky):
+        sub = aligned_spiky.slice_rows(0, 600)
+        folds = expanding_window_folds(sub.n_rows, 400, 100)
+        assert len(folds) == 2
+        return sub, folds
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("naive", "gbt", "ebm", "stacked"), ("stacked", "ebm"), ("stacked",)],
+        ids=",".join,
+    )
+    def test_one_ebm_fit_per_fold(self, backtest, ebm_calls, kinds):
+        d, folds = backtest
+        report = evaluate(sharing_specs(kinds), d, folds)
+        assert len(ebm_calls) == 2
+        assert [row.model for row in report.rows[::2]] == list(kinds)
+        for spec in sharing_specs(kinds):
+            alone = evaluate([spec], d, folds).predictions[spec.label]
+            assert report.predictions[spec.label].tobytes() == alone.tobytes()
+
+    def test_different_configs_fit_apart(self, backtest, ebm_calls):
+        d, folds = backtest
+        other = EbmConfig(outer_rounds=12, learning_rate=0.3, max_bins=16)
+        evaluate(sharing_specs(("ebm", "stacked"), stack_ebm=other), d, folds)
+        assert ebm_calls == [SHARED_EBM, other] * 2
+
+    def test_one_argument_fit_beside_shared_fits(self, backtest):
+        d, folds = backtest
+        kinds = ("stacked", "ebm")
+        report = evaluate([mean_spec(), *sharing_specs(kinds), oracle_spec()], d, folds)
+        assert [row.model for row in report.rows[::2]] == ["mean", *kinds, "oracle"]
+        assert report.predictions["oracle"].tobytes() == report.actual.tobytes()
 
 
 class TestEvalReportOutput:
