@@ -16,7 +16,9 @@ Every feature is sorted once per training run, the column-block layout of
 XGBoost (Chen & Guestrin, KDD 2016). A node keeps its rows in that sorted
 order, one row of a (features x rows) block per feature, and a split
 partitions the block stably instead of sorting again. Each node then scores
-all features at once with prefix sums along the block's rows."""
+all features at once with prefix sums along the block's rows. With unit
+Hessians, as squared loss gives, the Hessian prefix sums are just row counts,
+and a child that must be a leaf (at max_depth, or one row) gets no blocks."""
 
 from __future__ import annotations
 
@@ -156,7 +158,7 @@ def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _best_split(
     g: np.ndarray,
-    h: np.ndarray,
+    h: np.ndarray | None,
     order: np.ndarray,
     values: np.ndarray,
     g_total: float,
@@ -171,17 +173,25 @@ def _best_split(
     the one a per-feature scan would compute. Candidates where either child's
     Hessian sum falls below ``min_child_weight`` are skipped, and so is a
     feature with no candidate left. Returns None when no candidate exists.
+    ``h`` is None when every Hessian is 1: its prefix sums are then the row
+    counts 1 .. m-1, exact and shared by all features, and no denominator is 0.
     """
     g_left = np.cumsum(g[order], axis=1)[:, :-1]
-    h_left = np.cumsum(h[order], axis=1)[:, :-1]
     g_right = g_total - g_left
+    if h is None:
+        h_left = np.arange(1.0, order.shape[1])
+    else:
+        h_left = np.cumsum(h[order], axis=1)[:, :-1]
     h_right = h_total - h_left
     valid = values[:, :-1] != values[:, 1:]
-    valid &= h_left >= cfg.min_child_weight
-    valid &= h_right >= cfg.min_child_weight
+    valid &= (h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight)
     # In place, but in the order of 0.5 * (score_l + score_r - parent) - gamma.
-    gains = _scores(g_left, h_left, cfg.reg_lambda)
-    gains += _scores(g_right, h_right, cfg.reg_lambda)
+    if h is None:
+        gains = g_left * g_left / (h_left + cfg.reg_lambda)
+        gains += g_right * g_right / (h_right + cfg.reg_lambda)
+    else:
+        gains = _scores(g_left, h_left, cfg.reg_lambda)
+        gains += _scores(g_right, h_right, cfg.reg_lambda)
     gains -= _score(g_total, h_total, cfg.reg_lambda)
     gains *= 0.5
     gains -= cfg.gamma
@@ -217,33 +227,37 @@ def _grow_tree(
     split partitions the sorted blocks stably, so no node sorts again.
     """
     p = x.shape[1]
+    # Partial sums of ones are exact integers, so with unit Hessians a
+    # node's Hessian sum is its row count, and _best_split gets None.
+    hess = None if (h == 1.0).all() else h
     # side[i] tells whether row i goes left at the split being made; a node
     # reads only the entries of its own rows.
     side = np.empty(x.shape[0], dtype=bool)
 
-    def grow(idx: np.ndarray, order: np.ndarray, values: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, order, values, depth: int) -> TreeNode:
         g_total = float(g[idx].sum())
-        h_total = float(h[idx].sum())
+        h_total = float(idx.size) if hess is None else float(h[idx].sum())
         best = None
         if depth < cfg.max_depth and idx.size >= 2:
-            best = _best_split(g, h, order, values, g_total, h_total, cfg)
+            best = _best_split(g, hess, order, values, g_total, h_total, cfg)
         if best is None or best[0] <= 0.0:
             weight = leaf_weight(g_total, h_total, cfg.reg_lambda)
             out[idx] = weight
             return TreeNode(weight=weight)
         _, feature, threshold = best
         mask = x[idx, feature] <= threshold
-        side[idx] = mask
-        sel = side[order]
-        rest = ~sel
-        return TreeNode(
-            feature=feature,
-            threshold=threshold,
-            left=grow(idx[mask], order[sel].reshape(p, -1), values[sel].reshape(p, -1), depth + 1),
-            right=grow(
-                idx[~mask], order[rest].reshape(p, -1), values[rest].reshape(p, -1), depth + 1
-            ),
-        )
+        children = (idx[mask], idx[~mask])
+        # A child at max_depth or with one row is a leaf and gets no blocks.
+        splits = [depth + 1 < cfg.max_depth and rows.size >= 2 for rows in children]
+        blocks = [(None, None), (None, None)]
+        if any(splits):
+            side[idx] = mask
+            sel = side[order]
+            for i, keep in enumerate((sel, ~sel)):
+                if splits[i]:
+                    blocks[i] = (order[keep].reshape(p, -1), values[keep].reshape(p, -1))
+        left, right = [grow(rows, *b, depth + 1) for rows, b in zip(children, blocks)]
+        return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
     return grow(np.arange(x.shape[0]), *presorted, 0)
 

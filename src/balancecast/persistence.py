@@ -11,6 +11,7 @@ Python floats via their shortest repr.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -53,14 +54,29 @@ def tree_to_dict(node: gbt.TreeNode) -> dict:
     }
 
 
-def tree_from_dict(doc: dict) -> gbt.TreeNode:
+def _finite(value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise SchemaError(f"non-finite number {v!r} in a model file")
+    return v
+
+
+def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
+    """A tree whose splits use features ``0 .. n_features - 1``; a bad index or
+    a non-finite threshold or weight raises SchemaError."""
     if "weight" in doc:
-        return gbt.TreeNode(weight=float(doc["weight"]))
+        weight = float(doc["weight"])
+        if not math.isfinite(weight):
+            raise SchemaError(f"leaf weight {weight!r} is not finite")
+        return gbt.TreeNode(weight=weight)
+    feature, threshold = doc["feature"], float(doc["threshold"])
+    if type(feature) is not int or not 0 <= feature < n_features or not math.isfinite(threshold):
+        raise SchemaError(f"bad split on feature {feature!r} of {n_features} at {threshold!r}")
     return gbt.TreeNode(
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=tree_from_dict(doc["left"]),
-        right=tree_from_dict(doc["right"]),
+        feature=feature,
+        threshold=threshold,
+        left=tree_from_dict(doc["left"], n_features),
+        right=tree_from_dict(doc["right"], n_features),
     )
 
 
@@ -73,10 +89,12 @@ def gbt_to_dict(m: gbt.GbtModel) -> dict:
 
 
 def gbt_from_dict(doc: dict) -> gbt.GbtModel:
+    blocks = _blocks_from_dict(doc, gbt.GbtConfig)
+    n_features = len(blocks["schema"])
     return gbt.GbtModel(
-        trees=tuple(tree_from_dict(t) for t in doc["trees"]),
-        base_score=float(doc["base_score"]),
-        **_blocks_from_dict(doc, gbt.GbtConfig),
+        trees=tuple(tree_from_dict(t, n_features) for t in doc["trees"]),
+        base_score=_finite(doc["base_score"]),
+        **blocks,
     )
 
 
@@ -94,20 +112,30 @@ def ebm_to_dict(m: ebm.EbmModel) -> dict:
 
 
 def ebm_from_dict(doc: dict) -> ebm.EbmModel:
+    """Requires one shape per feature, one value per bin, and finite, strictly
+    ascending cuts; anything else raises SchemaError."""
+    blocks = _blocks_from_dict(doc, ebm.EbmConfig)
     bins = ebm.BinMap(
         cuts=tuple(np.asarray(c, dtype=np.float64) for c in doc["bins"]["cuts"]),
         vmin=tuple(float(v) for v in doc["bins"]["vmin"]),
         vmax=tuple(float(v) for v in doc["bins"]["vmax"]),
     )
-    shapes = tuple(
-        ebm.ShapeFunction(feature_index=j, values=np.asarray(v, dtype=np.float64))
-        for j, v in enumerate(doc["shapes"])
-    )
+    values = [np.asarray(v, dtype=np.float64) for v in doc["shapes"]]
+    n_features = len(blocks["schema"])
+    if not len(values) == len(bins.cuts) == len(bins.vmin) == len(bins.vmax) == n_features:
+        raise SchemaError(
+            f"{len(values)} shapes and {len(bins.cuts)} cut lists for {n_features} features"
+        )
+    for j, (cuts, v) in enumerate(zip(bins.cuts, values)):
+        if cuts.ndim != 1 or not np.isfinite(cuts).all() or (np.diff(cuts) <= 0).any():
+            raise SchemaError(f"the cuts of feature {j} are not finite and strictly ascending")
+        if v.shape != (len(cuts) + 1,):
+            raise SchemaError(f"feature {j} has {len(cuts) + 1} bins but {v.size} shape values")
     return ebm.EbmModel(
-        intercept=float(doc["intercept"]),
-        shapes=shapes,
+        intercept=_finite(doc["intercept"]),
+        shapes=tuple(ebm.ShapeFunction(feature_index=j, values=v) for j, v in enumerate(values)),
         bins=bins,
-        **_blocks_from_dict(doc, ebm.EbmConfig),
+        **blocks,
     )
 
 
@@ -214,5 +242,5 @@ def load_model(path):
         raise UnsupportedModelError(f"unknown model kind {doc.get('kind')!r} in {path}")
     try:
         return kind.name, int(doc["horizon_steps"]), kind.from_dict(doc["model"])
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(f"malformed {kind.name} model file {path}: {exc!r}") from None

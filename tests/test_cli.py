@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balancecast import ebm, gbt, stacking
 from balancecast import ebm_predict_batch, load_csv, load_model, synthetic_schema
@@ -266,6 +269,37 @@ MALFORMED = {
 }
 
 
+def _split(model):
+    return next(tree for tree in model["trees"] if "feature" in tree)
+
+
+def _leaf(model):
+    node = model["trees"][0]
+    while "weight" not in node:
+        node = node["left"]
+    return node
+
+
+def _set(node, key, value):
+    def change(model):
+        node(model)[key] = value
+    return change
+
+
+# Values that a decoder without range checks accepts, after which predict
+# raises an IndexError or quietly predicts garbage; each must exit 3.
+BAD_VALUES = {
+    "gbt-feature-99": ("gbt", _set(_split, "feature", 99)),
+    "gbt-feature-negative": ("gbt", _set(_split, "feature", -1)),
+    "gbt-weight-infinite": ("gbt", _set(_leaf, "weight", math.inf)),
+    "gbt-threshold-nan": ("gbt", _set(_split, "threshold", math.nan)),
+    "ebm-shape-shorter-than-bins": ("ebm", lambda model: model["shapes"][0].pop()),
+    "ebm-fewer-shapes-than-features": ("ebm", lambda model: model["shapes"].pop()),
+    "ebm-cuts-unsorted": ("ebm", lambda model: model["bins"]["cuts"][0].reverse()),
+    "ebm-cuts-empty": ("ebm", lambda model: model["bins"]["cuts"][0].clear()),
+}
+
+
 class TestMalformedModel:
     @pytest.fixture(scope="class")
     def gbt_doc(self, data_dir, tmp_path_factory):
@@ -293,6 +327,23 @@ class TestMalformedModel:
         assert "Traceback" not in stderr
         assert not (tmp_path / "p" / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_exits_3(self, data_dir, tmp_path, gbt_doc, ebm_model, case):
+        kind, change = BAD_VALUES[case]
+        doc = json.loads(json.dumps(gbt_doc) if kind == "gbt" else ebm_model.read_text())
+        change(doc["model"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        for command in ("predict", "explain"):
+            code, stderr = run_process(
+                command, "--data", str(data_dir / "dataset.csv"),
+                "--model", str(path), "--out", str(tmp_path / command),
+            )
+            assert code == 3, stderr
+            assert "Traceback" not in stderr
+            assert any(line.startswith("error: ") for line in stderr.splitlines()), stderr
+            assert not (tmp_path / command).exists()
+
     def test_tree_nested_too_deeply(self, data_dir, tmp_path, gbt_doc):
         depth = 1200
         deep = ('{"feature": 0, "threshold": 0.0, "left": ' * depth + '{"weight": 0.0}'
@@ -318,6 +369,83 @@ class TestMalformedModel:
             "--row", "3", "--out", str(tmp_path / "x"),
         )
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def small_models(data_dir, tmp_path_factory):
+    """A directory with small saved gbt, ebm and stacked models, each in
+    ``<kind>/model.json``."""
+    out = tmp_path_factory.mktemp("small_models")
+    for kind in ("gbt", "ebm", "stacked"):
+        assert run(
+            "train", "--data", str(data_dir / "dataset.csv"), "--model", kind,
+            "--out", str(out / kind), "--n-trees", "2", "--max-depth", "2",
+            "--outer-rounds", "5", "--max-bins", "8",
+            "--meta-n-trees", "2", "--meta-max-depth", "2",
+        ) == 0
+    return out
+
+
+def _fields(model):
+    """(container, key) of every value in a model document that a fuzz case
+    may replace: tree fields, shapes, cuts and their entries."""
+    if "meta" in model:
+        return _fields(model["base"]) + _fields(model["meta"])
+    if "trees" in model:
+        fields = [(model, "base_score"), (model, "trees")]
+        nodes = list(model["trees"])
+        while nodes:
+            node = nodes.pop()
+            fields += [(node, key) for key in ("feature", "threshold", "weight") if key in node]
+            nodes += [node[key] for key in ("left", "right") if key in node]
+        return fields
+    fields = [(model, "intercept"), (model, "shapes"), (model["bins"], "cuts")]
+    for lists in (model["shapes"], model["bins"]["cuts"]):
+        fields += [(lists, j) for j in range(len(lists))]
+        fields += [(values, i) for values in lists for i in range(len(values))]
+    return fields
+
+
+NUMBERS = st.floats() | st.integers(-3, 12)
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.just(10**400),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["feature", "weight"]), st.integers(0, 2), max_size=2),
+)
+
+
+def _replacements(value):
+    if not isinstance(value, list):
+        return NUMBERS | ODD_VALUES
+    # Reordered (cut order), cut short (shape length, missing shapes) or
+    # replaced, with entries of any type.
+    return st.one_of(
+        st.permutations(value),
+        st.integers(0, len(value)).map(lambda k: value[:k]),
+        st.lists(NUMBERS, max_size=20),
+        ODD_VALUES,
+    )
+
+
+class TestModelFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_predict_on_one_changed_field_exits_0_or_3(self, data_dir, small_models, data):
+        kind = data.draw(st.sampled_from(["gbt", "ebm", "stacked"]), label="kind")
+        doc = json.loads((small_models / kind / "model.json").read_text())
+        fields = _fields(doc["model"])
+        container, key = fields[data.draw(st.integers(0, len(fields) - 1), label="field")]
+        container[key] = data.draw(_replacements(container[key]), label="value")
+        path = small_models / "model.json"
+        path.write_text(json.dumps(doc))
+        code = run(
+            "predict", "--data", str(data_dir / "dataset.csv"),
+            "--model", str(path), "--out", str(small_models / "p"),
+        )
+        assert code in (0, 3)
 
 
 class TestEvaluate:

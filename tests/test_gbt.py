@@ -221,6 +221,20 @@ def tied_tree_problems(draw):
     return x, g, h, cfg
 
 
+@st.composite
+def unit_hessian_problems(draw):
+    """Tied feature matrices with every Hessian exactly 1, as gbt_train passes,
+    and minimum child weights on both sides of whole row counts."""
+    x, g, _, _ = draw(tied_tree_problems())
+    cfg = GbtConfig(
+        max_depth=draw(st.integers(1, 4)),
+        reg_lambda=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])),
+    )
+    return x, g, np.ones(len(g)), cfg
+
+
 # Feature 0 has no candidate; an infinite gradient gives feature 1 a NaN gain
 # and feature 2 an infinite one. The NaN, met first, wins, and a NaN gain
 # splits: the root splits on feature 1.
@@ -239,6 +253,25 @@ DEGENERATE_ROOT = (
 )
 
 
+def assert_fit_tree_matches_reference(x, g, h, cfg):
+    d = dataset_for(x)
+    expected = tree_outcome(lambda: reference_fit_tree(d, g, h, cfg))
+    assert tree_outcome(lambda: fit_tree(d, g, h, cfg)) == expected
+
+
+def assert_gbt_train_matches_reference(tmp_path, cfg):
+    """gbt_train on the seed-1 synth (horizon 32, first 1200 rows) writes the
+    reference's model file byte for byte and records the same train_mse."""
+    dataset, _ = generate_synthetic(SyntheticConfig(n_rows=2000, seed=1))
+    sub = align_horizon(dataset, 32).slice_rows(0, 1200)
+    model = gbt_train(sub, cfg)
+    ref = reference_gbt_train(sub, cfg)
+    save_model(model, 32, tmp_path / "model.json")
+    save_model(ref, 32, tmp_path / "reference.json")
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert model.train_mse == ref.train_mse
+
+
 class TestMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(tied_tree_problems())
@@ -246,21 +279,22 @@ class TestMatchesReference:
     @example(DEGENERATE_ROOT)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fit_tree_bit_identical(self, problem):
-        x, g, h, cfg = problem
-        d = dataset_for(x)
-        expected = tree_outcome(lambda: reference_fit_tree(d, g, h, cfg))
-        assert tree_outcome(lambda: fit_tree(d, g, h, cfg)) == expected
+        assert_fit_tree_matches_reference(*problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_hessian_problems())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fit_tree_bit_identical_with_unit_hessians(self, problem):
+        assert_fit_tree_matches_reference(*problem)
 
     def test_gbt_train_bit_identical_on_synth(self, tmp_path):
-        dataset, _ = generate_synthetic(SyntheticConfig(n_rows=2000, seed=1))
-        sub = align_horizon(dataset, 32).slice_rows(0, 1200)
-        cfg = GbtConfig(n_trees=20)
-        model = gbt_train(sub, cfg)
-        ref = reference_gbt_train(sub, cfg)
-        save_model(model, 32, tmp_path / "model.json")
-        save_model(ref, 32, tmp_path / "reference.json")
-        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
-        assert model.train_mse == ref.train_mse
+        assert_gbt_train_matches_reference(tmp_path, GbtConfig(n_trees=20))
+
+    @pytest.mark.parametrize("min_child_weight", [0.0, 1.5])
+    @pytest.mark.parametrize("max_depth", [1, 2, 6])
+    def test_gbt_train_bit_identical_on_synth_configs(self, tmp_path, max_depth, min_child_weight):
+        cfg = GbtConfig(n_trees=20, max_depth=max_depth, min_child_weight=min_child_weight)
+        assert_gbt_train_matches_reference(tmp_path, cfg)
 
 
 class TestSplitGain:
