@@ -15,10 +15,13 @@ deterministic and invariant to row order.
 Every feature is sorted once per training run, the column-block layout of
 XGBoost (Chen & Guestrin, KDD 2016). A node keeps its rows in that sorted
 order, one row of a (features x rows) block per feature, and a split
-partitions the block stably instead of sorting again. Each node then scores
-all features at once with prefix sums along the block's rows. With unit
-Hessians, as squared loss gives, the Hessian prefix sums are just row counts,
-and a child that must be a leaf (at max_depth, or one row) gets no blocks."""
+partitions the block stably instead of sorting again. A feature constant
+among a node's rows has no candidate there or below, so its block row is
+dropped. Each node scores the rest at once with prefix sums along the rows.
+With unit Hessians, as squared loss gives, the Hessian prefix sums are just
+row counts, and a child that must be a leaf (at max_depth, or one row) gets
+no blocks. Splits and batch predictions read each feature as one contiguous
+row of x.T."""
 
 from __future__ import annotations
 
@@ -49,18 +52,12 @@ class GbtConfig:
             raise InvalidArgumentError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate}"
             )
-        if self.gamma < 0:
-            raise InvalidArgumentError(f"gamma must be >= 0, got {self.gamma}")
-        if self.reg_lambda < 0:
-            raise InvalidArgumentError(
-                f"reg_lambda must be >= 0, got {self.reg_lambda}"
-            )
         if self.max_depth < 1:
             raise InvalidArgumentError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_child_weight < 0:
-            raise InvalidArgumentError(
-                f"min_child_weight must be >= 0, got {self.min_child_weight}"
-            )
+        for name in ("gamma", "reg_lambda", "min_child_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _score(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -127,139 +124,155 @@ class TreeNode:
             return 1
         return self.left.n_leaves() + self.right.n_leaves()
 
-    def predict_row(self, x: np.ndarray) -> float:
+    def predict_row(self, x) -> float:
         node = self
         while not node.is_leaf:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node.weight
 
 
-def _tree_predict_batch(node: TreeNode, x: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
+def _tree_predict_batch(node: TreeNode, cols: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
+    # cols[f] is feature f of every row: row f of x.T, contiguous.
     if node.is_leaf:
         out[idx] = node.weight
         return
-    mask = x[idx, node.feature] <= node.threshold
-    _tree_predict_batch(node.left, x, out, idx[mask])
-    _tree_predict_batch(node.right, x, out, idx[~mask])
+    mask = cols[node.feature][idx] <= node.threshold
+    _tree_predict_batch(node.left, cols, out, idx[mask])
+    _tree_predict_batch(node.right, cols, out, idx[~mask])
 
 
 def tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
     """Leaf outputs for every row of a feature matrix."""
     out = np.empty(x.shape[0])
-    _tree_predict_batch(node, x, out, np.arange(x.shape[0]))
+    _tree_predict_batch(node, np.ascontiguousarray(x.T), out, np.arange(x.shape[0]))
     return out
 
 
-def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature row order (ties by row index) and the sorted values, (p, n) each."""
-    order = np.argsort(x.T, axis=1, kind="stable")
-    return order, np.take_along_axis(x.T, order, axis=1)
+def _fit_constants(x: np.ndarray, reg_lambda: float) -> tuple:
+    """What every tree fitted on ``x`` shares: ``x.T`` made contiguous; the
+    root's block, that is the schema indices of the features that are not
+    constant and per such feature its row order (ties by row index) and
+    sorted values, one row each; and the unit-Hessian rows for _best_split."""
+    cols = np.ascontiguousarray(x.T)
+    order = np.argsort(cols, axis=1, kind="stable")
+    values = np.take_along_axis(cols, order, axis=1)
+    live = values[:, 0] != values[:, -1]
+    counts = np.arange(1.0, x.shape[0])
+    unit_rows = (counts, counts + reg_lambda, counts[::-1] + reg_lambda)
+    return cols, (np.flatnonzero(live), order[live], values[live]), unit_rows
 
 
 def _best_split(
-    g: np.ndarray,
-    h: np.ndarray | None,
-    order: np.ndarray,
-    values: np.ndarray,
-    g_total: float,
-    h_total: float,
-    cfg: GbtConfig,
+    g, h, block, g_total: float, h_total: float, cfg: GbtConfig, unit_rows
 ) -> tuple[float, int, float] | None:
-    """Highest-gain (feature, midpoint) candidate for one node.
+    """Highest-gain (gain, feature, midpoint) candidate for one node, or None.
 
-    ``order`` holds the node's rows sorted by each feature and ``values`` the
-    matching feature values, one row per feature. Every feature is scored in
-    one pass: the prefix sums run along each row, so each candidate's gain is
-    the one a per-feature scan would compute. Candidates where either child's
-    Hessian sum falls below ``min_child_weight`` are skipped, and so is a
-    feature with no candidate left. Returns None when no candidate exists.
-    ``h`` is None when every Hessian is 1: its prefix sums are then the row
-    counts 1 .. m-1, exact and shared by all features, and no denominator is 0.
+    ``block`` holds the schema indices of the features that are not constant
+    among the node's rows, and per feature the rows in sorted order and their
+    values. Every feature is scored in one pass: the prefix sums run along
+    each row, so each candidate's gain is the one a per-feature scan would
+    compute. A candidate is skipped when either child's Hessian sum falls
+    below ``min_child_weight``, and so is a feature with no candidate left.
+    ``h`` is None when every Hessian is 1: the prefix sums are then the row
+    counts 1 .. m-1 (``unit_rows[0]``), exact and at least 1, and the
+    children's denominators are the ends of ``unit_rows[1]`` and ``[2]``.
     """
-    g_left = np.cumsum(g[order], axis=1)[:, :-1]
+    features, order, values = block
+    m = order.shape[1]
+    # A candidate splits after one of the first m-1 rows.
+    g_left = g[order[:, :-1]].cumsum(axis=1)
     g_right = g_total - g_left
-    if h is None:
-        h_left = np.arange(1.0, order.shape[1])
-    else:
-        h_left = np.cumsum(h[order], axis=1)[:, :-1]
-    h_right = h_total - h_left
-    valid = values[:, :-1] != values[:, 1:]
-    valid &= (h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight)
+    invalid = values[:, :-1] == values[:, 1:]
+    h_left = unit_rows[0][: m - 1] if h is None else h[order[:, :-1]].cumsum(axis=1)
+    weigh = h is not None or not cfg.min_child_weight <= 1.0
+    if weigh:
+        h_right = h_total - h_left
+        invalid |= ~((h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight))
     # In place, but in the order of 0.5 * (score_l + score_r - parent) - gamma.
     if h is None:
-        gains = g_left * g_left / (h_left + cfg.reg_lambda)
-        gains += g_right * g_right / (h_right + cfg.reg_lambda)
+        gains = g_left
+        gains *= g_left
+        gains /= unit_rows[1][: m - 1]
+        g_right *= g_right
+        g_right /= unit_rows[2][1 - m :]
+        gains += g_right
     else:
         gains = _scores(g_left, h_left, cfg.reg_lambda)
         gains += _scores(g_right, h_right, cfg.reg_lambda)
     gains -= _score(g_total, h_total, cfg.reg_lambda)
     gains *= 0.5
-    gains -= cfg.gamma
-    gains[~valid] = -np.inf
+    if cfg.gamma:  # x - 0.0 == x for every x
+        gains -= cfg.gamma
+    np.putmask(gains, invalid, -np.inf)
+    # A row's max is the gain at its argmax, NaN if it holds one.
+    top = gains.max(axis=1).tolist()
+    # A feature that is not constant has a candidate by its values, so only
+    # the weight rule can leave it none. Such a feature is skipped, not
+    # scored -inf: a NaN gain met first must still block every later feature.
+    best = None
+    for j in np.flatnonzero(~invalid.all(axis=1)).tolist() if weigh else range(len(top)):
+        if best is None or top[j] > top[best]:
+            best = j
+    if best is None:
+        return None
     # Midpoint thresholds ascend along a row, so argmax lands on the lowest
     # threshold among equal gains within a feature.
-    features = np.arange(order.shape[0])
-    k = gains.argmax(axis=1)
-    thresholds = 0.5 * (values[features, k] + values[features, k + 1])
-    best: tuple[float, int, float] | None = None
-    # A feature without a valid candidate is skipped, not scored -inf: a
-    # NaN gain met first must still block every later feature.
-    for j, (ok, gain, threshold) in enumerate(
-        zip(valid.any(axis=1).tolist(), gains[features, k].tolist(), thresholds.tolist())
-    ):
-        if ok and (best is None or gain > best[0]):
-            best = (gain, j, threshold)
-    return best
+    k = int(gains[best].argmax())
+    a, b = values[best, k : k + 2].tolist()
+    return top[best], int(features[best]), 0.5 * (a + b)
 
 
-def _grow_tree(
-    x: np.ndarray,
-    presorted: tuple[np.ndarray, np.ndarray],
-    g: np.ndarray,
-    h: np.ndarray,
-    cfg: GbtConfig,
-    out: np.ndarray,
-) -> TreeNode:
+def _child_block(block, keep: np.ndarray):
+    """The block of the rows where ``keep`` (raveled like the block) holds,
+    without the features that are constant among them."""
+    features, order, values = block
+    pos = keep.nonzero()[0]  # one nonzero serves both gathers
+    order = order.ravel()[pos].reshape(features.size, -1)
+    values = values.ravel()[pos].reshape(features.size, -1)
+    live = values[:, 0] != values[:, -1]
+    return (features, order, values) if live.all() else (features[live], order[live], values[live])
+
+
+def _grow_tree(cols, block, unit_rows, g, h, cfg: GbtConfig, out: np.ndarray) -> TreeNode:
     """Grow one tree depth-first and write each row's leaf weight into ``out``.
 
-    A node holds its rows in ascending order (``idx``, which fixes the
-    summation order of its totals) and, per feature, in sorted order. A
-    split partitions the sorted blocks stably, so no node sorts again.
+    The first three arguments come from _fit_constants. A node holds its rows
+    in ascending order (``idx``, which fixes the summation order of its
+    totals) and as a block. A split partitions the block stably, so no node
+    sorts again, and drops the features constant in a child.
     """
-    p = x.shape[1]
+    n = cols.shape[1]
     # Partial sums of ones are exact integers, so with unit Hessians a
     # node's Hessian sum is its row count, and _best_split gets None.
     hess = None if (h == 1.0).all() else h
     # side[i] tells whether row i goes left at the split being made; a node
     # reads only the entries of its own rows.
-    side = np.empty(x.shape[0], dtype=bool)
+    side = np.empty(n, dtype=bool)
 
-    def grow(idx: np.ndarray, order, values, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, block, depth: int) -> TreeNode:
         g_total = float(g[idx].sum())
         h_total = float(idx.size) if hess is None else float(h[idx].sum())
         best = None
-        if depth < cfg.max_depth and idx.size >= 2:
-            best = _best_split(g, hess, order, values, g_total, h_total, cfg)
+        if depth < cfg.max_depth and idx.size >= 2 and block[0].size:
+            best = _best_split(g, hess, block, g_total, h_total, cfg, unit_rows)
         if best is None or best[0] <= 0.0:
             weight = leaf_weight(g_total, h_total, cfg.reg_lambda)
             out[idx] = weight
             return TreeNode(weight=weight)
         _, feature, threshold = best
-        mask = x[idx, feature] <= threshold
+        mask = cols[feature][idx] <= threshold
         children = (idx[mask], idx[~mask])
-        # A child at max_depth or with one row is a leaf and gets no blocks.
+        # A child at max_depth or with one row is a leaf and gets no block.
         splits = [depth + 1 < cfg.max_depth and rows.size >= 2 for rows in children]
-        blocks = [(None, None), (None, None)]
+        blocks = [None, None]
         if any(splits):
             side[idx] = mask
-            sel = side[order]
-            for i, keep in enumerate((sel, ~sel)):
-                if splits[i]:
-                    blocks[i] = (order[keep].reshape(p, -1), values[keep].reshape(p, -1))
-        left, right = [grow(rows, *b, depth + 1) for rows, b in zip(children, blocks)]
+            sel = side[block[1]].ravel()
+            blocks = [_child_block(block, keep) if s else None for s, keep in zip(splits, (sel, ~sel))]
+        left, right = [grow(rows, b, depth + 1) for rows, b in zip(children, blocks)]
         return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
-    return grow(np.arange(x.shape[0]), *presorted, 0)
+    return grow(np.arange(n), block, 0)
 
 
 def fit_tree(d: Dataset, g, h, cfg: GbtConfig) -> TreeNode:
@@ -272,8 +285,7 @@ def fit_tree(d: Dataset, g, h, cfg: GbtConfig) -> TreeNode:
         raise InvalidArgumentError(
             f"{len(g)} gradients and {len(h)} Hessians for {d.n_rows} rows"
         )
-    x = d.features
-    return _grow_tree(x, _presort(x), g, h, cfg, np.empty(d.n_rows))
+    return _grow_tree(*_fit_constants(d.features, cfg.reg_lambda), g, h, cfg, np.empty(d.n_rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,12 +315,12 @@ def gbt_train(d: Dataset, cfg: GbtConfig = GbtConfig()) -> GbtModel:
     trees: list[TreeNode] = []
     g = np.empty(n)
     h = np.ones(n)
-    # Features never change across trees: sort them once.
-    presorted = _presort(d.features)
+    # Features never change across trees: build what they share once.
+    fit = _fit_constants(d.features, cfg.reg_lambda)
     leaf_out = np.empty(n)
     for _ in range(cfg.n_trees):
         np.subtract(pred, y, out=g)
-        trees.append(_grow_tree(d.features, presorted, g, h, cfg, leaf_out))
+        trees.append(_grow_tree(*fit, g, h, cfg, leaf_out))
         pred = pred + cfg.learning_rate * leaf_out
         mse.append(float(np.mean((y - pred) ** 2)))
     return GbtModel(
@@ -322,7 +334,8 @@ def gbt_train(d: Dataset, cfg: GbtConfig = GbtConfig()) -> GbtModel:
 
 def gbt_predict(m: GbtModel, x) -> float:
     """base_score plus the learning-rate-scaled sum of tree outputs."""
-    row = m.schema.check_features(x, 1)
+    # Python floats compare and add as numpy scalars do, only faster.
+    row = m.schema.check_features(x, 1).tolist()
     acc = m.base_score
     for tree in m.trees:
         acc += m.config.learning_rate * tree.predict_row(row)
@@ -331,7 +344,9 @@ def gbt_predict(m: GbtModel, x) -> float:
 
 def gbt_predict_batch(m: GbtModel, x: np.ndarray) -> np.ndarray:
     x = m.schema.check_features(x, 2)
+    cols, rows, out = np.ascontiguousarray(x.T), np.arange(x.shape[0]), np.empty(x.shape[0])
     acc = np.full(x.shape[0], m.base_score)
     for tree in m.trees:
-        acc += m.config.learning_rate * tree_predict(tree, x)
+        _tree_predict_batch(tree, cols, out, rows)
+        acc += m.config.learning_rate * out
     return acc

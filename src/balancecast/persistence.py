@@ -54,6 +54,12 @@ def tree_to_dict(node: gbt.TreeNode) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # not a float, a string or a bool
+        raise SchemaError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _finite(value) -> float:
     v = float(value)
     if not math.isfinite(v):
@@ -188,7 +194,7 @@ KINDS = {
             train=lambda d, horizon, fitted=None: NaiveModel(horizon_steps=horizon),
             predict=lambda m, d, rows: naive_forecast(d.target, m.horizon_steps, rows),
             to_dict=lambda m: {"horizon_steps": m.horizon_steps},
-            from_dict=lambda doc: NaiveModel(horizon_steps=int(doc["horizon_steps"])),
+            from_dict=lambda doc: NaiveModel(horizon_steps=_json_int(doc["horizon_steps"])),
         ),
         ModelKind(
             name="gbt",
@@ -241,6 +247,6 @@ def load_model(path):
     if kind is None:
         raise UnsupportedModelError(f"unknown model kind {doc.get('kind')!r} in {path}")
     try:
-        return kind.name, int(doc["horizon_steps"]), kind.from_dict(doc["model"])
+        return kind.name, _json_int(doc["horizon_steps"]), kind.from_dict(doc["model"])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(f"malformed {kind.name} model file {path}: {exc!r}") from None

@@ -717,3 +717,89 @@ class TestConfigFile:
 
     def test_usage_error_without_subcommand(self):
         assert run() == 2
+
+
+def assert_clean_error(code, stderr, expected_code):
+    assert code == expected_code, stderr
+    assert "Traceback" not in stderr
+    assert any(line.startswith("error: ") for line in stderr.splitlines()), stderr
+
+
+class TestNonFiniteGbtHyperparameters:
+    """NaN and infinite gamma, reg_lambda and min_child_weight are rejected
+    before anything is written: as flags with exit 2, in a model file with 3."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gamma", "nan"), ("--reg-lambda", "inf"), ("--min-child-weight", "inf")],
+    )
+    def test_train_exits_2(self, data_dir, tmp_path, flag, value):
+        code, stderr = run_process(
+            "train", "--model", "gbt", "--data", str(data_dir / "dataset.csv"),
+            "--n-trees", "2", flag, value, "--out", str(tmp_path / "t"),
+        )
+        assert_clean_error(code, stderr, 2)
+        assert "bad gbt config" in stderr
+        assert not (tmp_path / "t" / "model.json").exists()
+
+    def test_evaluate_exits_2(self, data_dir, tmp_path):
+        code, stderr = run_process(
+            "evaluate", "--models", "gbt", "--data", str(data_dir / "dataset.csv"),
+            "--min-child-weight", "nan", "--n-trees", "2",
+            "--initial-train", "400", "--test-len", "134", "--out", str(tmp_path / "e"),
+        )
+        assert_clean_error(code, stderr, 2)
+        assert not (tmp_path / "e" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("gamma", math.nan), ("min_child_weight", math.inf)])
+    def test_model_file_exits_3(self, data_dir, tmp_path, key, value):
+        out = tmp_path / "m"
+        assert run(
+            "train", "--model", "gbt", "--data", str(data_dir / "dataset.csv"),
+            "--n-trees", "2", "--max-depth", "2", "--out", str(out),
+        ) == 0
+        doc = json.loads((out / "model.json").read_text())
+        doc["model"]["config"][key] = value
+        (out / "model.json").write_text(json.dumps(doc))
+        code, stderr = run_process(
+            "predict", "--model", str(out / "model.json"),
+            "--data", str(data_dir / "dataset.csv"), "--out", str(tmp_path / "p"),
+        )
+        assert_clean_error(code, stderr, 3)
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+class TestHorizonStepsMustBeAnInteger:
+    @pytest.fixture(scope="class")
+    def model_docs(self, data_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("horizon_models")
+        docs = {}
+        for kind in ("gbt", "naive"):
+            assert run(
+                "train", "--model", kind, "--data", str(data_dir / "dataset.csv"),
+                "--horizon-steps", "4", "--n-trees", "2", "--max-depth", "2",
+                "--out", str(out / kind),
+            ) == 0
+            docs[kind] = (out / kind / "model.json").read_text()
+        return docs
+
+    @pytest.mark.parametrize(
+        "kind, where, value",
+        [
+            ("gbt", "file", 1.7),
+            ("gbt", "file", "5"),
+            ("gbt", "file", True),
+            ("naive", "model", 1.7),
+        ],
+    )
+    def test_predict_exits_3(self, data_dir, tmp_path, model_docs, kind, where, value):
+        doc = json.loads(model_docs[kind])
+        (doc if where == "file" else doc["model"])["horizon_steps"] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, stderr = run_process(
+            "predict", "--model", str(path),
+            "--data", str(data_dir / "dataset.csv"), "--out", str(tmp_path / "p"),
+        )
+        assert_clean_error(code, stderr, 3)
+        assert not (tmp_path / "p" / "predictions.csv").exists()

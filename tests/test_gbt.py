@@ -548,3 +548,106 @@ class TestGbtPersistence:
         doc = gbt_to_dict(m)
         assert set(doc) == {"base_score", "config", "schema", "trees"}
         assert len(doc["trees"]) == 1
+
+
+class TestRejectsNonFiniteConfig:
+    @pytest.mark.parametrize("field", ["gamma", "reg_lambda", "min_child_weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError):
+            GbtConfig(**{field: value})
+
+
+def fitted_tree(x, g, cfg):
+    d = dataset_for(x)
+    root = fit_tree(d, g, np.ones(len(g)), cfg)
+    assert tree_outcome(lambda: root) == tree_outcome(
+        lambda: reference_fit_tree(d, g, np.ones(len(g)), cfg)
+    )
+    return root
+
+
+class TestConstantFeatures:
+    """A feature constant among a node's rows has no candidate there or
+    below; dropping it must leave the schema indices of the others intact."""
+
+    def test_constant_at_the_root(self):
+        # Features 0 and 2 never vary; the tied pairs of feature 1 split.
+        x = np.array([[7.0, 0.0, -1.0], [7.0, 0.0, -1.0], [7.0, 1.0, -1.0], [7.0, 1.0, -1.0]])
+        cfg = GbtConfig(max_depth=3, reg_lambda=0.0, min_child_weight=0.0)
+        root = fitted_tree(x, np.array([-1.0, -1.0, 1.0, 1.0]), cfg)
+        assert (root.feature, root.threshold) == (1, 0.5)
+        assert (root.left.weight, root.right.weight) == (1.0, -1.0)
+
+    def test_constant_only_inside_one_subtree(self):
+        # Feature 1 splits the root. Feature 2 is constant on its left side
+        # but splits its right side; feature 3 splits the left side.
+        x = np.array(
+            [
+                [4.0, 0.0, 5.0, 0.0],
+                [4.0, 0.0, 5.0, 0.0],
+                [4.0, 0.0, 5.0, 1.0],
+                [4.0, 0.0, 5.0, 1.0],
+                [4.0, 1.0, 2.0, 9.0],
+                [4.0, 1.0, 2.0, 9.0],
+                [4.0, 1.0, 3.0, 9.0],
+                [4.0, 1.0, 3.0, 9.0],
+            ]
+        )
+        g = np.array([-1.0, -1.0, -3.0, -3.0, 10.0, 10.0, 12.0, 12.0])
+        cfg = GbtConfig(max_depth=3, reg_lambda=0.0, min_child_weight=0.0)
+        root = fitted_tree(x, g, cfg)
+        assert (root.feature, root.threshold) == (1, 0.5)
+        assert (root.left.feature, root.left.threshold) == (3, 0.5)
+        assert (root.right.feature, root.right.threshold) == (2, 2.5)
+        weights = [root.left.left, root.left.right, root.right.left, root.right.right]
+        assert [node.weight for node in weights] == [1.0, 3.0, -10.0, -12.0]
+
+
+@st.composite
+def predict_problems(draw):
+    """A small model fitted on tied random data, and query rows that hit its
+    thresholds exactly, fall between them or hold NaN."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 3))
+    cells = st.integers(0, 4).map(float)
+    x = np.array(draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
+    cfg = GbtConfig(
+        n_trees=draw(st.integers(0, 6)),
+        max_depth=draw(st.integers(1, 4)),
+        learning_rate=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        min_child_weight=0.0,
+    )
+    model = gbt_train(dataset_for(x, y), cfg)
+    query_cells = st.one_of(st.integers(-1, 9).map(lambda v: v / 2.0), st.just(math.nan))
+    rows = draw(st.lists(st.lists(query_cells, min_size=p, max_size=p), max_size=12))
+    return model, np.array(rows, dtype=np.float64).reshape(len(rows), p)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestPredictMatchesRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(predict_problems(), st.sampled_from(["c", "fortran", "strided"]))
+    def test_batch_and_single_row_bit_identical(self, problem, layout):
+        model, rows = problem
+        if layout == "fortran":
+            rows = np.asfortranarray(rows)
+        elif layout == "strided":
+            wide = np.full((rows.shape[0] * 2, rows.shape[1] + 1), 99.0)
+            wide[::2, 1:] = rows
+            rows = wide[::2, 1:]
+        expected = []
+        for row in rows:
+            acc = model.base_score
+            for tree in model.trees:
+                acc += model.config.learning_rate * tree.predict_row(row)
+            expected.append(acc)
+        batch = gbt_predict_batch(model, rows)
+        assert batch.shape == (rows.shape[0],)
+        assert np.array_equal(bits(batch), bits(expected))
+        single = [gbt_predict(model, row) for row in rows]
+        assert np.array_equal(bits(single), bits(batch))
