@@ -200,7 +200,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     with path.open("r") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except RecursionError:
+            raise UsageError(f"config file {path} is nested too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -452,7 +454,6 @@ def main(argv=None) -> int:
         FileExistsError,
         IsADirectoryError,
         NotADirectoryError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -287,18 +287,27 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
     """Read a dataset CSV, sort rows by timestamp, and validate the grid.
 
     The header must be exactly ``timestamp,<schema names...>,target``. Cells
-    that fail to parse, or parse to non-finite values, timestamps outside
-    int64 and rows the csv reader rejects (a field over its size limit)
-    raise IngestError with the 1-based data row number. The spot column is
-    the feature named ``spot`` if present, else column 0.
+    that fail to parse (bytes that are not UTF-8 among them), or parse to
+    non-finite values, timestamps outside int64 and rows the csv reader
+    rejects (a field over its size limit) raise IngestError with the 1-based
+    data row number, or naming the header. The spot column is the feature
+    named ``spot`` if present, else column 0.
     """
     path = Path(path)
-    with path.open("r", newline="") as fh:
+    # Undecodable bytes become lone surrogates, which no number parses, so
+    # they fail in the row that holds them.
+    with path.open("r", newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise IngestError(f"{path}: header: {exc}") from None
+        try:
+            ",".join(header).encode()
+        except UnicodeEncodeError:
+            raise IngestError(f"{path}: header is not UTF-8 text") from None
         expected = _expected_header(schema)
         for col in expected:
             if col not in header:

@@ -118,13 +118,12 @@ Predictor = Callable[[Dataset, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A label plus a trainer that fits on a fold's training slice; with
-    ``shares_fits`` set it is called as ``fit(train, fitted)``, where the
-    fold's ``fitted`` dict is shared as :class:`ModelKind` describes."""
+    """A label plus a trainer called as ``fit(train, fitted)`` on each
+    fold's training slice, where the fold's ``fitted`` dict is shared as
+    :class:`ModelKind` describes; a trainer may ignore it."""
 
     label: str
-    fit: Callable[..., Predictor]
-    shares_fits: bool = False
+    fit: Callable[[Dataset, dict], Predictor]
 
 
 def model_spec(kind: str, cfg) -> ModelSpec:
@@ -136,7 +135,7 @@ def model_spec(kind: str, cfg) -> ModelSpec:
         model = entry.train(train, cfg, fitted)
         return lambda d, idx: entry.predict(model, d, idx)
 
-    return ModelSpec(label=kind, fit=fit, shares_fits=True)
+    return ModelSpec(label=kind, fit=fit)
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ def evaluate(
         assert d.timestamps[fold.train_end - 1] < d.timestamps[fold.test_start]
         fitted: dict = {}
         for spec, spec_preds in zip(models, preds):
-            predictor = spec.fit(train, fitted) if spec.shares_fits else spec.fit(train)
+            predictor = spec.fit(train, fitted)
             spec_preds.append(np.asarray(predictor(d, idx), dtype=np.float64))
     for spec, spec_preds in zip(models, preds):
         pred_pool = np.concatenate(spec_preds)

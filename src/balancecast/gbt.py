@@ -1,9 +1,9 @@
 """Gradient-boosted regression trees with second-order split gain.
 
-Squared-error loss in the 1/2 (y - yhat)^2 convention, so every per-sample
-Hessian is exactly 1. Split search is exact greedy: candidate thresholds are
-the midpoints between consecutive distinct sorted feature values, scored by
-the regularized gain
+Squared-error loss only, in the 1/2 (y - yhat)^2 convention, so every
+per-sample Hessian is exactly 1 and a node's Hessian sum H is its row count.
+Split search is exact greedy: candidate thresholds are the midpoints between
+consecutive distinct sorted feature values, scored by the regularized gain
 
     1/2 [ G_L^2/(H_L + lambda) + G_R^2/(H_R + lambda)
           - (G_L + G_R)^2/(H_L + H_R + lambda) ] - gamma
@@ -17,11 +17,11 @@ XGBoost (Chen & Guestrin, KDD 2016). A node keeps its rows in that sorted
 order, one row of a (features x rows) block per feature, and a split
 partitions the block stably instead of sorting again. A feature constant
 among a node's rows has no candidate there or below, so its block row is
-dropped. Each node scores the rest at once with prefix sums along the rows.
-With unit Hessians, as squared loss gives, the Hessian prefix sums are just
-row counts, and a child that must be a leaf (at max_depth, or one row) gets
-no blocks. Splits and batch predictions read each feature as one contiguous
-row of x.T."""
+dropped. Each node scores the rest at once with gradient prefix sums along
+the rows; the Hessian sums on either side of a candidate are row counts, so
+``min_child_weight`` is a range of candidate positions, and a child that
+must be a leaf (at max_depth, or one row) gets no blocks. Splits and batch
+predictions read each feature as one contiguous row of x.T."""
 
 from __future__ import annotations
 
@@ -66,12 +66,6 @@ def _score(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     denom = h_sum + reg_lambda
     score = 0.0 if denom == 0.0 else g_sum * g_sum / denom
     return score if math.isfinite(score) else 0.0
-
-
-def _scores(g_sum: np.ndarray, h_sum: np.ndarray, reg_lambda: float) -> np.ndarray:
-    # Elementwise _score for candidate children, without its overflow guard.
-    denom = h_sum + reg_lambda
-    return np.divide(g_sum * g_sum, denom, out=np.zeros_like(denom), where=denom != 0)
 
 
 def split_gain(
@@ -119,11 +113,6 @@ class TreeNode:
             return 0
         return 1 + max(self.left.depth(), self.right.depth())
 
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
-
     def predict_row(self, x) -> float:
         node = self
         while not node.is_leaf:
@@ -152,72 +141,68 @@ def _fit_constants(x: np.ndarray, reg_lambda: float) -> tuple:
     """What every tree fitted on ``x`` shares: ``x.T`` made contiguous; the
     root's block, that is the schema indices of the features that are not
     constant and per such feature its row order (ties by row index) and
-    sorted values, one row each; and the unit-Hessian rows for _best_split."""
+    sorted values, one row each; and the denominators for _best_split, the
+    counts 1 .. n-1 plus lambda ascending and descending."""
     cols = np.ascontiguousarray(x.T)
     order = np.argsort(cols, axis=1, kind="stable")
     values = np.take_along_axis(cols, order, axis=1)
     live = values[:, 0] != values[:, -1]
     counts = np.arange(1.0, x.shape[0])
-    unit_rows = (counts, counts + reg_lambda, counts[::-1] + reg_lambda)
-    return cols, (np.flatnonzero(live), order[live], values[live]), unit_rows
+    denoms = (counts + reg_lambda, counts[::-1] + reg_lambda)
+    return cols, (np.flatnonzero(live), order[live], values[live]), denoms
 
 
-def _best_split(
-    g, h, block, g_total: float, h_total: float, cfg: GbtConfig, unit_rows
-) -> tuple[float, int, float] | None:
+def _best_split(g, block, g_total: float, cfg: GbtConfig, denoms) -> tuple[float, int, float] | None:
     """Highest-gain (gain, feature, midpoint) candidate for one node, or None.
 
     ``block`` holds the schema indices of the features that are not constant
-    among the node's rows, and per feature the rows in sorted order and their
-    values. Every feature is scored in one pass: the prefix sums run along
-    each row, so each candidate's gain is the one a per-feature scan would
-    compute. A candidate is skipped when either child's Hessian sum falls
-    below ``min_child_weight``, and so is a feature with no candidate left.
-    ``h`` is None when every Hessian is 1: the prefix sums are then the row
-    counts 1 .. m-1 (``unit_rows[0]``), exact and at least 1, and the
-    children's denominators are the ends of ``unit_rows[1]`` and ``[2]``.
+    among the node's m rows, and per feature the rows in sorted order and
+    their values. Every feature is scored in one pass: the gradient prefix
+    sums run along each row, so each candidate's gain is the one a
+    per-feature scan would compute. The candidate after k rows has Hessian
+    sums k and m - k, whose denominators are entries of ``denoms``; it is
+    kept iff both reach ``min_child_weight``, that is iff
+    ``least <= k <= m - least`` with ``least`` its ceiling (at least 1). A
+    feature with no candidate in that range is skipped.
     """
     features, order, values = block
     m = order.shape[1]
-    # A candidate splits after one of the first m-1 rows.
-    g_left = g[order[:, :-1]].cumsum(axis=1)
+    least = max(1, math.ceil(cfg.min_child_weight))
+    # Columns lo .. hi-1 are the candidates after least .. m-least rows.
+    lo, hi = least - 1, m - least
+    if lo >= hi:
+        return None
+    g_left = g[order[:, :hi]].cumsum(axis=1)[:, lo:]
     g_right = g_total - g_left
-    invalid = values[:, :-1] == values[:, 1:]
-    h_left = unit_rows[0][: m - 1] if h is None else h[order[:, :-1]].cumsum(axis=1)
-    weigh = h is not None or not cfg.min_child_weight <= 1.0
-    if weigh:
-        h_right = h_total - h_left
-        invalid |= ~((h_left >= cfg.min_child_weight) & (h_right >= cfg.min_child_weight))
+    invalid = values[:, lo:hi] == values[:, lo + 1 : hi + 1]
     # In place, but in the order of 0.5 * (score_l + score_r - parent) - gamma.
-    if h is None:
-        gains = g_left
-        gains *= g_left
-        gains /= unit_rows[1][: m - 1]
-        g_right *= g_right
-        g_right /= unit_rows[2][1 - m :]
-        gains += g_right
-    else:
-        gains = _scores(g_left, h_left, cfg.reg_lambda)
-        gains += _scores(g_right, h_right, cfg.reg_lambda)
-    gains -= _score(g_total, h_total, cfg.reg_lambda)
+    left_den, right_den = denoms
+    gains = g_left
+    gains *= g_left
+    gains /= left_den[lo:hi]
+    g_right *= g_right
+    g_right /= right_den[right_den.size - hi : right_den.size - lo]
+    gains += g_right
+    gains -= _score(g_total, float(m), cfg.reg_lambda)
     gains *= 0.5
     if cfg.gamma:  # x - 0.0 == x for every x
         gains -= cfg.gamma
     np.putmask(gains, invalid, -np.inf)
     # A row's max is the gain at its argmax, NaN if it holds one.
     top = gains.max(axis=1).tolist()
-    # A feature that is not constant has a candidate by its values, so only
-    # the weight rule can leave it none. Such a feature is skipped, not
+    # A feature that is not constant has a candidate in the full range, so
+    # only a narrower one can leave it none. Such a feature is skipped, not
     # scored -inf: a NaN gain met first must still block every later feature.
+    scored = range(len(top)) if least == 1 else np.flatnonzero(~invalid.all(axis=1)).tolist()
     best = None
-    for j in np.flatnonzero(~invalid.all(axis=1)).tolist() if weigh else range(len(top)):
+    for j in scored:
         if best is None or top[j] > top[best]:
             best = j
     if best is None:
         return None
     # Midpoint thresholds ascend along a row, so argmax lands on the lowest
     # threshold among equal gains within a feature.
-    k = int(gains[best].argmax())
+    k = lo + int(gains[best].argmax())
     a, b = values[best, k : k + 2].tolist()
     return top[best], int(features[best]), 0.5 * (a + b)
 
@@ -233,30 +218,25 @@ def _child_block(block, keep: np.ndarray):
     return (features, order, values) if live.all() else (features[live], order[live], values[live])
 
 
-def _grow_tree(cols, block, unit_rows, g, h, cfg: GbtConfig, out: np.ndarray) -> TreeNode:
+def _grow_tree(cols, block, denoms, g, cfg: GbtConfig, out: np.ndarray) -> TreeNode:
     """Grow one tree depth-first and write each row's leaf weight into ``out``.
 
     The first three arguments come from _fit_constants. A node holds its rows
     in ascending order (``idx``, which fixes the summation order of its
-    totals) and as a block. A split partitions the block stably, so no node
-    sorts again, and drops the features constant in a child.
+    gradient total) and as a block. A split partitions the block stably, so
+    no node sorts again, and drops the features constant in a child.
     """
-    n = cols.shape[1]
-    # Partial sums of ones are exact integers, so with unit Hessians a
-    # node's Hessian sum is its row count, and _best_split gets None.
-    hess = None if (h == 1.0).all() else h
     # side[i] tells whether row i goes left at the split being made; a node
     # reads only the entries of its own rows.
-    side = np.empty(n, dtype=bool)
+    side = np.empty(cols.shape[1], dtype=bool)
 
     def grow(idx: np.ndarray, block, depth: int) -> TreeNode:
         g_total = float(g[idx].sum())
-        h_total = float(idx.size) if hess is None else float(h[idx].sum())
         best = None
         if depth < cfg.max_depth and idx.size >= 2 and block[0].size:
-            best = _best_split(g, hess, block, g_total, h_total, cfg, unit_rows)
+            best = _best_split(g, block, g_total, cfg, denoms)
         if best is None or best[0] <= 0.0:
-            weight = leaf_weight(g_total, h_total, cfg.reg_lambda)
+            weight = leaf_weight(g_total, float(idx.size), cfg.reg_lambda)
             out[idx] = weight
             return TreeNode(weight=weight)
         _, feature, threshold = best
@@ -272,20 +252,18 @@ def _grow_tree(cols, block, unit_rows, g, h, cfg: GbtConfig, out: np.ndarray) ->
         left, right = [grow(rows, b, depth + 1) for rows, b in zip(children, blocks)]
         return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
-    return grow(np.arange(n), block, 0)
+    return grow(np.arange(cols.shape[1]), block, 0)
 
 
-def fit_tree(d: Dataset, g, h, cfg: GbtConfig) -> TreeNode:
-    """Grow one regression tree on per-sample gradients ``g`` and Hessians ``h``."""
+def fit_tree(d: Dataset, g, cfg: GbtConfig) -> TreeNode:
+    """Grow one regression tree on per-sample squared-loss gradients ``g``
+    (every Hessian is 1)."""
     g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
     if d.n_rows == 0 or len(g) == 0:
         raise InvalidArgumentError("cannot fit a tree on an empty dataset")
-    if len(g) != d.n_rows or len(h) != d.n_rows:
-        raise InvalidArgumentError(
-            f"{len(g)} gradients and {len(h)} Hessians for {d.n_rows} rows"
-        )
-    return _grow_tree(*_fit_constants(d.features, cfg.reg_lambda), g, h, cfg, np.empty(d.n_rows))
+    if len(g) != d.n_rows:
+        raise InvalidArgumentError(f"{len(g)} gradients for {d.n_rows} rows")
+    return _grow_tree(*_fit_constants(d.features, cfg.reg_lambda), g, cfg, np.empty(d.n_rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,13 +292,12 @@ def gbt_train(d: Dataset, cfg: GbtConfig = GbtConfig()) -> GbtModel:
     mse = [float(np.mean((y - pred) ** 2))]
     trees: list[TreeNode] = []
     g = np.empty(n)
-    h = np.ones(n)
     # Features never change across trees: build what they share once.
     fit = _fit_constants(d.features, cfg.reg_lambda)
     leaf_out = np.empty(n)
     for _ in range(cfg.n_trees):
         np.subtract(pred, y, out=g)
-        trees.append(_grow_tree(*fit, g, h, cfg, leaf_out))
+        trees.append(_grow_tree(*fit, g, cfg, leaf_out))
         pred = pred + cfg.learning_rate * leaf_out
         mse.append(float(np.mean((y - pred) ** 2)))
     return GbtModel(

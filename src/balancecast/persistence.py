@@ -241,6 +241,8 @@ def load_model(path):
             doc = json.load(fh)
         except RecursionError:
             raise SchemaError(f"model file {path} is nested too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise SchemaError(f"model file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"model file {path} must hold a JSON object")
     kind = next((k for k in KINDS.values() if k.name == doc.get("kind")), None)

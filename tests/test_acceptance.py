@@ -91,7 +91,7 @@ def test_criterion_1_gbt_split_oracle():
             timestamps=np.arange(n), features=x, target=np.zeros(n), schema=schema
         )
         cfg = GbtConfig(max_depth=1, reg_lambda=lam, gamma=gamma, min_child_weight=0.0)
-        root = fit_tree(d, g, h, cfg)
+        root = fit_tree(d, g, cfg)
         gains = oracle_all_candidates(x, g, h, lam, gamma)
         best = max(gains) if gains else None
         if best is None or best <= 0.0:

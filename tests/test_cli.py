@@ -1,14 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from balancecast import ebm, gbt, stacking
@@ -803,3 +806,127 @@ class TestHorizonStepsMustBeAnInteger:
         )
         assert_clean_error(code, stderr, 3)
         assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+NOT_UTF8 = b"\xff\xfe\x00garbage"
+
+
+def _row_not_utf8(text: bytes) -> bytes:
+    lines = text.split(b"\n")
+    lines[150] = lines[150][:5] + b"\xff" + lines[150][6:]
+    return b"\n".join(lines)
+
+
+def _header_over_field_limit(text: bytes) -> bytes:
+    return text.replace(b"\n", b"x" * 200_000 + b"\n", 1)
+
+
+# (file the case replaces, its bytes from the dataset's, exit code, what the
+# error line must name)
+UNREADABLE = {
+    "config-not-utf8": ("config", lambda _: NOT_UTF8, 2, "codec can't decode"),
+    "config-nested-too-deeply": (
+        "config", lambda _: b"[" * 200_000 + b"]" * 200_000, 2, "nested too deeply"
+    ),
+    # The header error is the NUL under Python 3.10's csv reader, the bytes
+    # that are not UTF-8 under 3.11's.
+    "data-not-utf8": ("data", lambda _: NOT_UTF8, 3, "header"),
+    "data-row-not-utf8": ("data", _row_not_utf8, 3, "row 150: cannot parse"),
+    "data-header-over-field-limit": ("data", _header_over_field_limit, 3, "header: field larger"),
+    "model-not-utf8": ("model", lambda _: NOT_UTF8, 3, "codec can't decode"),
+}
+
+
+class TestUnreadableFiles:
+    """A config, data or model file that is not UTF-8, or that the csv or
+    JSON reader cannot take, exits 2 (config) or 3 without a traceback and
+    before anything is written."""
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_exits_cleanly(self, data_dir, small_models, tmp_path, case):
+        replaced, content, expected_code, named = UNREADABLE[case]
+        files = {
+            "config": json.dumps({"horizon_steps": 32}).encode(),
+            "data": (data_dir / "dataset.csv").read_bytes(),
+            "model": (small_models / "gbt" / "model.json").read_bytes(),
+        }
+        files[replaced] = content(files[replaced])
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text)
+        code, stderr = run_process(
+            "predict", "--config", "config", "--data", "data", "--model", "model",
+            "--out", "out", cwd=tmp_path,
+        )
+        assert_clean_error(code, stderr, expected_code)
+        assert named in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def _corrupted(draw, text: bytes) -> bytes:
+    """``text`` after one to three mutations: a byte overwritten with 0xff,
+    a truncation, a duplicated line, or a value wrapped in ``[`` nesting
+    (deep enough to pass the csv field limit and the JSON recursion limit)."""
+    for op in draw(st.lists(st.sampled_from(["byte", "truncate", "line", "nest"]), min_size=1, max_size=3)):
+        if op == "byte" and text:
+            i = draw(st.integers(0, len(text) - 1))
+            text = text[:i] + b"\xff" + text[i + 1 :]
+        elif op == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        elif op == "line":
+            lines = text.split(b"\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            text = b"\n".join(lines[:i] + [lines[i]] + lines[i:])
+        elif op == "nest":
+            values = list(re.finditer(rb"[^,:\s{}]+", text))
+            if values:
+                v = values[draw(st.integers(0, len(values) - 1))]
+                k = draw(st.sampled_from([1, 3, 150_000]))
+                text = text[: v.start()] + b"[" * k + v.group() + b"]" * k + text[v.end() :]
+    return text
+
+
+def _main_exit_code(argv) -> int:
+    """main(argv)'s return; any message must be an error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert code == 0 or "error: " in err.getvalue()
+    return code
+
+
+class TestCorruptedFileFuzz:
+    """main never raises on a corrupted data or config file, and exits 0, 2,
+    3 or 4 (the contract of cli.py)."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_csv(self, data_dir, small_models, fuzz_dir, data):
+        path = fuzz_dir / "dataset.csv"
+        # The first 300 rows keep every example fast.
+        rows = (data_dir / "dataset.csv").read_bytes().split(b"\n")[:301]
+        path.write_bytes(_corrupted(data.draw, b"\n".join(rows) + b"\n"))
+        command = data.draw(st.sampled_from([
+            ["predict", "--model", str(small_models / "stacked" / "model.json")],
+            ["explain", "--model", str(small_models / "ebm" / "model.json")],
+            ["evaluate", "--models", "naive,gbt", "--n-trees", "2", "--max-depth", "2",
+             "--initial-train", "150", "--test-len", "60"],
+        ]))
+        _main_exit_code([*command, "--data", str(path), "--out", str(fuzz_dir / "out")])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_config(self, data_dir, fuzz_dir, data):
+        doc = {
+            "data": str(data_dir / "dataset.csv"), "out": str(fuzz_dir / "out"),
+            "models": "naive,gbt", "n_trees": 2, "max_depth": 2, "horizon_steps": 32,
+            "initial_train": 400, "test_len": 134, "epsilon": 20.0, "label": "fuzz",
+        }
+        path = fuzz_dir / "config.json"
+        path.write_bytes(_corrupted(data.draw, json.dumps(doc, indent=1).encode()))
+        _main_exit_code(["evaluate", "--config", str(path)])

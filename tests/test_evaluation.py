@@ -215,14 +215,14 @@ def tiny_dataset(n=40, seed=0):
 def oracle_spec():
     """A model that looks up the true target (upper bound on accuracy)."""
 
-    def fit(_train):
+    def fit(_train, _fitted):
         return lambda d, idx: d.target[idx].copy()
 
     return ModelSpec(label="oracle", fit=fit)
 
 
 def mean_spec():
-    def fit(train):
+    def fit(train, _fitted):
         mean = float(train.target.mean())
         return lambda d, idx: np.full(len(idx), mean)
 
@@ -364,7 +364,7 @@ class TestFitSharing:
         evaluate(sharing_specs(("ebm", "stacked"), stack_ebm=other), d, folds)
         assert ebm_calls == [SHARED_EBM, other] * 2
 
-    def test_one_argument_fit_beside_shared_fits(self, backtest):
+    def test_hand_written_specs_beside_shared_fits(self, backtest):
         d, folds = backtest
         kinds = ("stacked", "ebm")
         report = evaluate([mean_spec(), *sharing_specs(kinds), oracle_spec()], d, folds)
