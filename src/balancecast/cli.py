@@ -197,7 +197,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
     path = Path(args.config)
-    with path.open("r") as fh:
+    try:
+        fh = path.open("r")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise UsageError(f"config file {path}: {exc.strerror or exc}") from None
+    with fh:
         try:
             doc = json.load(fh)
         except RecursionError:

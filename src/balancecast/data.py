@@ -218,7 +218,8 @@ def csv_line(cells) -> str:
 
 
 def write_csv_lines(path, header: list[str], lines) -> None:
-    """Write the csv ``header`` row, then the already formatted ``lines``."""
+    """Write the csv ``header`` row, then the already formatted ``lines``
+    (each string one or more whole lines)."""
     with Path(path).open("w", newline="") as fh:
         fh.write(csv_line(header))
         fh.writelines(lines)
@@ -234,10 +235,16 @@ def write_json(path, payload) -> None:
 
 def save_csv(d: Dataset, path) -> None:
     """Write ``timestamp,<features...>,target`` rows; floats via repr so a
-    reload reproduces every value exactly."""
-    rows = zip(d.timestamps.tolist(), d.features.tolist(), d.target.tolist())
-    lines = (f"{t},{','.join(map(repr, x))},{y!r}\n" for t, x, y in rows)
-    write_csv_lines(path, _expected_header(d.schema), lines)
+    reload reproduces every value exactly. Rows are formatted
+    ``_CSV_CHUNK_ROWS`` at a time, so memory stays bounded."""
+
+    def chunk(lo: int) -> str:
+        rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+        cells = zip(d.timestamps[rows].tolist(), d.features[rows].tolist(), d.target[rows].tolist())
+        return "".join([f"{t},{','.join(map(repr, x))},{y!r}\n" for t, x, y in cells])
+
+    chunks = map(chunk, range(0, d.n_rows, _CSV_CHUNK_ROWS))
+    write_csv_lines(path, _expected_header(d.schema), chunks)
 
 
 def _parse_chunk(path, header: list[str], rows: list[list[str]], first_row_no: int):

@@ -4,9 +4,11 @@ The model is an intercept plus one piecewise-constant shape function per
 feature, learned by round-robin boosting: every round visits the features in
 schema order, fits a small tree over that feature's bin indices to the
 current residuals, and adds a learning-rate fraction of the leaf means into
-the shape. Shapes are mean-centered over the training set afterwards, with
-the removed means folded into the intercept, so contributions are comparable
-across features and the intercept is the training-mean prediction.
+the shape. The tree's split search reads the feature's :class:`SplitPlan`,
+built once per fit from its bin counts. Shapes are mean-centered over the
+training set afterwards, with the removed means folded into the intercept,
+so contributions are comparable across features and the intercept is the
+training-mean prediction.
 
 Explanations come straight from the structure: a local explanation is the
 per-feature bin lookups themselves, and global importance is the mean
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,7 +133,34 @@ class EbmModel:
     train_mse: tuple[float, ...] = field(repr=False, default=())
 
 
-def _fit_leaf_steps(count_cum: np.ndarray, sums: np.ndarray, max_leaves: int) -> np.ndarray:
+class SplitPlan(NamedTuple):
+    """What a feature's bin counts fix for every boosting step of a fit.
+
+    ``count_cum`` is ``[0, cumsum(counts)]``. Splitting before bin ``at``
+    leaves rows on both sides of segment ``[lo, hi)`` exactly for
+    ``first[lo] <= at < stop[hi]``, since ``count_cum`` never decreases.
+    ``rest`` is ``count_cum[-1] - count_cum``: the right-hand counts of the
+    splits of a segment that ends at the last bin, as ``count_cum`` holds
+    the left-hand counts of one that starts at bin 0.
+    """
+
+    count_cum: np.ndarray
+    rest: np.ndarray
+    first: list
+    stop: list
+
+
+def split_plan(counts: np.ndarray) -> SplitPlan:
+    count_cum = np.concatenate(([0.0], np.cumsum(counts)))
+    return SplitPlan(
+        count_cum=count_cum,
+        rest=count_cum[-1] - count_cum,
+        first=np.searchsorted(count_cum, count_cum, side="right").tolist(),
+        stop=np.searchsorted(count_cum, count_cum, side="left").tolist(),
+    )
+
+
+def _fit_leaf_steps(plan: SplitPlan, sums: np.ndarray, max_leaves: int) -> np.ndarray:
     """Piecewise-constant residual step over bin indices.
 
     Greedy best-first segmentation of the bin axis into at most
@@ -139,46 +169,62 @@ def _fit_leaf_steps(count_cum: np.ndarray, sums: np.ndarray, max_leaves: int) ->
     bins without training rows always share a leaf with their nearest
     populated neighbor. Only a positive reduction splits; ties go to the
     first segment and split point, and a NaN candidate blocks its segment.
+    A segment's best split is searched once, when it first competes.
 
-    Exactness: ``count_cum`` is ``[0, cumsum(counts)]`` of integer-valued
-    counts, so its differences are exact. A segment's residual total is its
-    pairwise ``sums[lo:hi].sum()`` and its left sums are its own ``cumsum``
-    (``cumsum(sums)`` only from bin 0), never prefix differences.
+    Exactness: counts are integer-valued, so every count difference is
+    exact whichever ``plan`` array it is read from. A segment's residual
+    total is its pairwise ``sums[lo:hi].sum()`` and its left sums are its
+    own ``cumsum`` (``cumsum(sums)`` only from bin 0), never prefix
+    differences.
     """
-    sums_cum = np.cumsum(sums)
+    count_cum, rest, first, stop = plan
+    n_bins = len(sums)
+    sums_cum = np.add.accumulate(sums)
 
-    def best_split(lo: int, hi: int) -> tuple[float, int] | None:
-        # Splitting before bin ``at`` leaves rows on both sides exactly for
-        # ``a <= at < b``, since ``count_cum`` never decreases.
-        a = int(np.searchsorted(count_cum, count_cum[lo], side="right"))
-        b = int(np.searchsorted(count_cum, count_cum[hi], side="left"))
+    def best_split(lo: int, hi: int, s_tot) -> tuple[float, int] | None:
+        a, b = first[lo], stop[hi]
         if a >= b:
             return None
-        c_left = count_cum[a:b] - count_cum[lo]
-        c_tot = count_cum[hi] - count_cum[lo]
-        s_tot = sums[lo:hi].sum()
-        s_left = sums_cum[a - 1:b - 1] if lo == 0 else np.cumsum(sums[lo:b - 1])[a - lo - 1:]
-        red = s_left**2 / c_left + (s_tot - s_left) ** 2 / (c_tot - c_left) - s_tot**2 / c_tot
-        k = int(np.argmax(red))
-        return (float(red[k]), a + k) if red[k] > 0.0 else None
+        if lo == 0:
+            s_left = sums_cum[a - 1:b - 1]
+            c_left = count_cum[a:b]
+        else:
+            s_left = np.add.accumulate(sums[lo:b - 1])[a - lo - 1:]
+            c_left = count_cum[a:b] - count_cum[lo]
+        # s_left**2 / c_left + (s_tot - s_left)**2 / c_right - s_tot**2 / c_tot
+        red = np.square(s_left)
+        red /= c_left
+        right = s_tot - s_left
+        np.square(right, out=right)
+        right /= rest[a:b] if hi == n_bins else count_cum[hi] - count_cum[a:b]
+        red += right
+        red -= s_tot**2 / (count_cum[hi] - count_cum[lo])
+        k = red.argmax()
+        return (red[k], a + k) if red[k] > 0.0 else None
 
-    segments = [(0, len(sums))]
+    segments = [(0, n_bins, np.add.reduce(sums))]  # (lo, hi, residual total)
+    splits = [False]  # each segment's best split; False until searched
     while len(segments) < max_leaves:
         best = None
-        for i, (lo, hi) in enumerate(segments):
-            split = best_split(lo, hi)
+        for i, split in enumerate(splits):
+            if split is False:
+                split = splits[i] = best_split(*segments[i])
             if split is not None and (best is None or split[0] > best[0]):
-                best = (*split, i)
+                best, at_i = split, i
         if best is None:
             break
-        _, at, i = best
-        segments[i:i + 1] = [(segments[i][0], at), (at, segments[i][1])]
+        lo, hi, _ = segments[at_i]
+        at = best[1]
+        segments[at_i:at_i + 1] = [
+            (lo, at, np.add.reduce(sums[lo:at])), (at, hi, np.add.reduce(sums[at:hi]))
+        ]
+        splits[at_i:at_i + 1] = [False, False]
 
-    delta = np.zeros(len(sums))
-    for lo, hi in segments:
+    delta = np.zeros(n_bins)
+    for lo, hi, s_tot in segments:
         c_tot = count_cum[hi] - count_cum[lo]
         if c_tot > 0:
-            delta[lo:hi] = sums[lo:hi].sum() / c_tot
+            delta[lo:hi] = s_tot / c_tot
     return delta
 
 
@@ -187,34 +233,38 @@ def ebm_train(d: Dataset, cfg: EbmConfig = EbmConfig()) -> EbmModel:
 
     Residuals are recomputed before every feature step, so the training MSE
     is non-increasing across rounds; ``train_mse`` records it after the
-    intercept and after each full round.
+    intercept and after each full round. Each feature's :class:`SplitPlan`
+    is built once, from its bin counts, and serves all of its steps.
     """
     n = d.n_rows
     if n < 2:
         raise InvalidArgumentError(f"training needs n >= 2 rows, got {n}")
     p = d.n_features
     bins = build_bins(d, cfg.max_bins)
+    n_bins = [bins.n_bins(j) for j in range(p)]
     bin_idx = [bins.bin_index(j, d.features[:, j]) for j in range(p)]
-    counts = [
-        np.bincount(bin_idx[j], minlength=bins.n_bins(j)).astype(np.float64)
-        for j in range(p)
-    ]
-    count_cum = [np.concatenate(([0.0], np.cumsum(c))) for c in counts]
+    counts = [np.bincount(bin_idx[j], minlength=n_bins[j]).astype(np.float64) for j in range(p)]
+    plans = [split_plan(c) for c in counts]
     y = d.target
     intercept = float(y.mean())
     pred = np.full(n, intercept)
     residual = np.empty(n)
-    shape_values = [np.zeros(bins.n_bins(j)) for j in range(p)]
-    mse = [float(np.mean((y - pred) ** 2))]
+
+    def round_mse() -> float:
+        np.subtract(y, pred, out=residual)
+        return float(np.mean(np.square(residual, out=residual)))
+
+    shape_values = [np.zeros(n_bins[j]) for j in range(p)]
+    mse = [round_mse()]
     for _ in range(cfg.outer_rounds):
         for j in range(p):
             np.subtract(y, pred, out=residual)
-            sums = np.bincount(bin_idx[j], weights=residual, minlength=bins.n_bins(j))
-            delta = _fit_leaf_steps(count_cum[j], sums, cfg.max_leaves_per_round)
-            step = cfg.learning_rate * delta
+            sums = np.bincount(bin_idx[j], weights=residual, minlength=n_bins[j])
+            step = _fit_leaf_steps(plans[j], sums, cfg.max_leaves_per_round)
+            step *= cfg.learning_rate
             shape_values[j] += step
             pred += step[bin_idx[j]]
-        mse.append(float(np.mean((y - pred) ** 2)))
+        mse.append(round_mse())
     # Center each shape over the training rows; fold the means into the
     # intercept so training predictions are unchanged.
     for j in range(p):

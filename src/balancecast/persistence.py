@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -32,10 +32,22 @@ def _blocks(m) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # not a float, a string or a bool
+        raise SchemaError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _blocks_from_dict(doc: dict, config_type: type) -> dict:
-    """``config`` and ``schema`` keyword arguments for a model constructor."""
+    """``config`` and ``schema`` keyword arguments for a model constructor;
+    an integer field of the config must hold a JSON integer."""
+    if not isinstance(doc["config"], dict):
+        raise SchemaError(f"a model's config must be a JSON object, got {doc['config']!r}")
     config = dict(doc["config"])
     config.pop("seed", None)  # an unused field that older model files still carry
+    for f in fields(config_type):
+        if f.type in ("int", int) and f.name in config:
+            _json_int(config[f.name])
     schema = doc["schema"]
     return {
         "config": config_type(**config),
@@ -52,12 +64,6 @@ def tree_to_dict(node: gbt.TreeNode) -> dict:
         "left": tree_to_dict(node.left),
         "right": tree_to_dict(node.right),
     }
-
-
-def _json_int(value) -> int:
-    if type(value) is not int:  # not a float, a string or a bool
-        raise SchemaError(f"expected a JSON integer, got {value!r}")
-    return value
 
 
 def _finite(value) -> float:
@@ -247,7 +253,7 @@ def load_model(path):
         raise SchemaError(f"model file {path} must hold a JSON object")
     kind = next((k for k in KINDS.values() if k.name == doc.get("kind")), None)
     if kind is None:
-        raise UnsupportedModelError(f"unknown model kind {doc.get('kind')!r} in {path}")
+        raise SchemaError(f"unknown model kind {doc.get('kind')!r} in {path}")
     try:
         return kind.name, _json_int(doc["horizon_steps"]), kind.from_dict(doc["model"])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from balancecast import ebm, gbt, stacking
@@ -451,6 +452,122 @@ class TestModelFileFuzz:
         assert code in (0, 3)
 
 
+def _envelope_paths(kind):
+    """Key paths into a ``kind`` model file of its envelope fields: kind,
+    horizon, the model document, and every config and schema block and
+    entry of each model in it."""
+    models = {
+        "gbt": [(("model",), gbt.GbtConfig)],
+        "ebm": [(("model",), ebm.EbmConfig)],
+        "stacked": [(("model", "base"), ebm.EbmConfig), (("model", "meta"), gbt.GbtConfig)],
+    }[kind]
+    paths = [("kind",), ("horizon_steps",), ("model",)]
+    n_features = len(synthetic_schema())
+    for at, config_type in models:
+        paths += [(*at, "config"), (*at, "schema")]
+        paths += [(*at, "schema", "names"), (*at, "schema", "kinds")]
+        paths += [(*at, "config", f.name) for f in dataclasses.fields(config_type)]
+        paths += [(*at, "schema", key, i) for key in ("names", "kinds") for i in range(n_features)]
+    return paths
+
+
+@st.composite
+def envelope_cases(draw):
+    """(kind, key path, replacement value, command) for one changed field."""
+    kind = draw(st.sampled_from(["gbt", "ebm", "stacked"]))
+    path = draw(st.sampled_from(_envelope_paths(kind)))
+    command = draw(st.sampled_from(["predict"] if kind == "gbt" else ["predict", "explain"]))
+    return kind, path, draw(NUMBERS | ODD_VALUES), command
+
+
+def _model_command_exit_code(command, kind, model, data_dir, out):
+    """main's exit code for ``command`` on a ``kind`` model file, which must
+    be 0 or 3; explain takes only ebm files, so a stacked file that loads
+    exits 2 there."""
+    code = _main_exit_code(
+        [command, "--model", str(model), "--data", str(data_dir / "dataset.csv"), "--out", str(out)]
+    )
+    assert code in (0, 3) or (code == 2 and (command, kind) == ("explain", "stacked"))
+    if code == 2:
+        load_model(model)
+    return code
+
+
+def _changed_model_file(small_models, kind, path, value, out_dir):
+    """A copy of the small ``kind`` model file in ``out_dir`` whose field at
+    key ``path`` holds ``value``."""
+    doc = json.loads((small_models / kind / "model.json").read_text())
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    model = out_dir / "model.json"
+    model.write_text(json.dumps(doc))
+    return model
+
+
+class TestModelFileEnvelopeFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(envelope_cases())
+    # Exited 2 (a kind that is not a string) and 0 (a fractional tree count).
+    @example(("gbt", ("kind",), ["gbt"], "predict"))
+    @example(("gbt", ("model", "config", "n_trees"), 2.5, "predict"))
+    def test_changed_envelope_field_exits_0_or_3(
+        self, data_dir, small_models, tmp_path_factory, case
+    ):
+        kind, path, value, command = case
+        out_dir = tmp_path_factory.mktemp("envelope")
+        model = _changed_model_file(small_models, kind, path, value, out_dir)
+        _model_command_exit_code(command, kind, model, data_dir, model.parent / "out")
+
+    @pytest.mark.parametrize(
+        "kind, path, value",
+        [
+            ("gbt", ("kind",), ["gbt"]),
+            ("gbt", ("kind",), {"a": 1}),
+            ("gbt", ("kind",), 1),
+            ("gbt", ("kind",), "forest"),
+            ("gbt", ("model", "config"), [["n_trees", 2]]),
+            ("gbt", ("model", "config", "n_trees"), 2.5),
+            ("gbt", ("model", "config", "max_depth"), True),
+            ("ebm", ("model", "config", "outer_rounds"), 5.0),
+            ("ebm", ("model", "config", "max_bins"), "8"),
+            ("ebm", ("model", "config", "max_leaves_per_round"), 2.5),
+            ("stacked", ("model", "meta", "config", "n_trees"), 2.5),
+        ],
+    )
+    def test_malformed_envelope_exits_3(
+        self, data_dir, small_models, tmp_path, capsys, kind, path, value
+    ):
+        model = _changed_model_file(small_models, kind, path, value, tmp_path)
+        code = run(
+            "predict", "--model", str(model), "--data", str(data_dir / "dataset.csv"),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_0xff_model_file_exits_0_or_3(
+        self, data_dir, small_models, tmp_path_factory, data
+    ):
+        kind = data.draw(st.sampled_from(["gbt", "ebm", "stacked"]), label="kind")
+        commands = ["predict"] if kind == "gbt" else ["predict", "explain"]
+        command = data.draw(st.sampled_from(commands), label="command")
+        text = (small_models / kind / "model.json").read_bytes()
+        i = data.draw(st.integers(0, len(text) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            text = text[:i]
+        else:
+            text = text[:i] + b"\xff" + text[i + 1:]
+        model = tmp_path_factory.mktemp("whole_file") / "model.json"
+        model.write_bytes(text)
+        code = _model_command_exit_code(command, kind, model, data_dir, model.parent / "out")
+        assert code == 3 or text.endswith(b"}")  # only the newline was cut
+
+
 class TestEvaluate:
     def test_report_rows_and_determinism(self, data_dir, tmp_path):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -691,6 +808,14 @@ class TestConfigFile:
         assert code == 2, stderr
         assert "Traceback" not in stderr and f"unknown key {key!r}" in stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("config", ["missing.json", "a_directory"])
+    def test_missing_or_directory_config_exits_2(self, tmp_path, config):
+        (tmp_path / "a_directory").mkdir()
+        code, stderr = run_process("synth", "--config", config, "--out", "x", cwd=tmp_path)
+        assert_clean_error(code, stderr, 2)
+        assert f"config file {config}" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
 
     def test_repeatable_param_takes_a_list_of_strings(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -313,14 +313,28 @@ def csv_file(path, n_rows, edits=None):
     return path
 
 
+# Datasets of 1 to 80 finite cells: p features plus the target per row.
+SAVED_DATASETS = {
+    "p": st.integers(1, 3),
+    "cells": st.lists(SPECIAL_FLOATS, min_size=4, max_size=80),
+    "start": st.integers(-(2**62), 2**62),
+}
+
+
 class TestCsvAgainstReference:
-    @given(
-        p=st.integers(1, 3),
-        cells=st.lists(SPECIAL_FLOATS, min_size=4, max_size=80),
-        start=st.integers(-(2**62), 2**62),
-    )
+    @given(**SAVED_DATASETS)
     @settings(max_examples=60, deadline=None)
     def test_bytes_and_values_match_reference(self, tmp_path_factory, p, cells, start):
+        self.assert_saves_like_reference(tmp_path_factory, p, cells, start)
+
+    @given(**SAVED_DATASETS)
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_reference_in_3_row_chunks(self, tmp_path_factory, p, cells, start):
+        with mock.patch.object(data, "_CSV_CHUNK_ROWS", 3):
+            self.assert_saves_like_reference(tmp_path_factory, p, cells, start)
+
+    @staticmethod
+    def assert_saves_like_reference(tmp_path_factory, p, cells, start):
         n = len(cells) // (p + 1)
         block = np.array(cells[: n * (p + 1)]).reshape(n, p + 1)
         d = Dataset(

@@ -472,8 +472,7 @@ def leaf_step_problems(draw):
 
 
 def leaf_steps(counts, sums, max_leaves):
-    count_cum = np.concatenate(([0.0], np.cumsum(counts)))
-    return ebm._fit_leaf_steps(count_cum, sums, max_leaves)
+    return ebm._fit_leaf_steps(ebm.split_plan(counts), sums, max_leaves)
 
 
 class TestMatchesReference:
