@@ -10,30 +10,23 @@ both overall and restricted to deviation events.
 from .baseline import NaiveModel, naive_forecast
 from .data import (
     CONTINUOUS,
-    CYCLICAL,
     DEFAULT_HORIZON_STEPS,
     Dataset,
     FeatureSchema,
     SyntheticConfig,
-    SyntheticTruth,
     align_horizon,
     encode_cyclical,
     generate_synthetic,
-    hour_of_day,
     load_csv,
-    month_index,
     save_csv,
     save_truth_json,
     synthetic_schema,
-    truth_table,
 )
 from .ebm import (
     BinMap,
     EbmConfig,
     EbmModel,
     ShapeFunction,
-    apply_shape_table,
-    bin_centers,
     build_bins,
     ebm_predict,
     ebm_predict_batch,
@@ -74,8 +67,6 @@ from .gbt import (
     gbt_predict_batch,
     gbt_train,
     leaf_weight,
-    split_gain,
-    tree_predict,
 )
 from .persistence import (
     KINDS,

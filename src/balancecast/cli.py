@@ -5,7 +5,9 @@ is deterministic given its flags and seed, and all emitted artifacts are
 plain CSV/JSON so any plotting tool can consume them. Flags may also be
 supplied through a JSON config file (--config); explicit flags win.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric/training error.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric/training
+error. Each error class carries its code as ``exit_code`` (errors.py, and
+UsageError here); an OS error on any file is a data error (3).
 """
 
 from __future__ import annotations
@@ -30,25 +32,11 @@ from .data import (
     write_csv_lines,
 )
 from .ebm import EbmConfig, ebm_predict, explain_local, save_global_explanation
-from .errors import (
-    BalancecastError,
-    DegenerateLeafError,
-    GridError,
-    IngestError,
-    InsufficientHistoryError,
-    InvalidArgumentError,
-    SchemaError,
-    UnsupportedModelError,
-)
+from .errors import BalancecastError, InvalidArgumentError, SchemaError, UnsupportedModelError
 from .evaluation import evaluate, expanding_window_folds, model_spec
 from .gbt import GbtConfig
 from .persistence import KINDS, load_model, save_model
 from .stacking import META_GBT_DEFAULTS
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
 # The configs the CLI builds from flags, at their defaults.
 CONFIG_DEFAULTS = {
@@ -82,7 +70,8 @@ CONFIG_FLAGS = (
 
 
 class UsageError(BalancecastError):
-    """Bad flag combination or value; maps to exit code 2."""
+    """Bad flag combination or value."""
+    exit_code = 2
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -446,31 +435,15 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         args.func(args)
-    except (UsageError, UnsupportedModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        SchemaError,
-        IngestError,
-        GridError,
-        InvalidArgumentError,
-        FileNotFoundError,
-        FileExistsError,
-        IsADirectoryError,
-        NotADirectoryError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (
-        DegenerateLeafError,
-        InsufficientHistoryError,
-        FloatingPointError,
-        ZeroDivisionError,
-        OverflowError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+        return 0
+    except BalancecastError as exc:
+        error, code = exc, exc.exit_code
+    except OSError as exc:  # a missing, unreadable or unwritable file
+        error, code = exc, 3
+    except ArithmeticError as exc:
+        error, code = exc, 4
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -102,12 +102,6 @@ def build_bins(d: Dataset, max_bins: int) -> BinMap:
     return BinMap(cuts=tuple(cuts), vmin=tuple(vmin), vmax=tuple(vmax))
 
 
-def bin_centers(bins: BinMap, j: int) -> np.ndarray:
-    """Representative value per bin, using the training range for the edges."""
-    edges = np.concatenate(([bins.vmin[j]], bins.cuts[j], [bins.vmax[j]]))
-    return (edges[:-1] + edges[1:]) / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class ShapeFunction:
     """Additive contribution of one feature, one value per bin."""
@@ -366,10 +360,3 @@ def save_global_explanation(m: EbmModel, d: Dataset, out) -> list[tuple[str, flo
     )
     return ranking
 
-
-def apply_shape_table(table: ShapeTable, value: float) -> float:
-    """Look one value up in an exported shape table."""
-    for lower, upper, contribution in table:
-        if lower < value <= upper:
-            return contribution
-    return table[-1][2]

@@ -2,7 +2,9 @@
 
 
 class BalancecastError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; the command line
+    exits with ``exit_code`` on it (3, a data error, unless a subclass says)."""
+    exit_code = 3
 
 
 class InvalidArgumentError(BalancecastError, ValueError):
@@ -23,11 +25,14 @@ class GridError(BalancecastError, ValueError):
 
 class DegenerateLeafError(BalancecastError, ArithmeticError):
     """A leaf weight is undefined because the regularized Hessian sum is zero."""
+    exit_code = 4
 
 
 class InsufficientHistoryError(BalancecastError, ValueError):
     """A persistence forecast was requested before enough history exists."""
+    exit_code = 4
 
 
 class UnsupportedModelError(BalancecastError, ValueError):
     """The requested operation is not defined for this model kind."""
+    exit_code = 2

@@ -1,12 +1,15 @@
 """Metrics, expanding-window cross-validation, and deviation-event reports.
 
 Every fold trains fresh models on all rows before its test window and
-predicts the window that follows, so training data never overlaps or
-postdates the test segment; the stack reuses the fold's EBM when the ebm
-model has the same config. Test predictions are pooled across folds into a
-single evaluated segment, then reported twice: once as-is and once keeping
-only deviation events, the rows where the realized price moved away from the
-spot anchor by more than epsilon.
+predicts the window that follows, so every training issue time precedes the
+test segment; the stack reuses the fold's EBM when the ebm model has the
+same config. In a horizon-aligned dataset the targets are prices realized h
+steps after the issue times, so those of the last h - 1 training rows are
+realized after the test window opens: no embargo drops them yet. Test
+predictions are pooled across folds into a single evaluated segment, then
+reported twice: once as-is and once keeping only deviation events, the rows
+where the realized price moved away from the spot anchor by more than
+epsilon.
 """
 
 from __future__ import annotations
@@ -249,8 +252,9 @@ def evaluate(
     for fold in folds:
         train = d.slice_rows(0, fold.train_end)
         idx = np.arange(fold.test_start, fold.test_end)
-        # Leakage guard: all training timestamps strictly precede the test
-        # window.
+        # Leakage guard: every training issue timestamp strictly precedes
+        # the test window. Training targets are realized h steps later, so
+        # the last h - 1 of them can postdate its start (no embargo yet).
         assert d.timestamps[fold.train_end - 1] < d.timestamps[fold.test_start]
         fitted: dict = {}
         for spec, spec_preds in zip(models, preds):

@@ -68,22 +68,6 @@ def _score(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     return score if math.isfinite(score) else 0.0
 
 
-def split_gain(
-    g_left: float,
-    h_left: float,
-    g_right: float,
-    h_right: float,
-    reg_lambda: float,
-    gamma: float,
-) -> float:
-    """Improvement in the regularized objective from one binary split."""
-    return 0.5 * (
-        _score(g_left, h_left, reg_lambda)
-        + _score(g_right, h_right, reg_lambda)
-        - _score(g_left + g_right, h_left + h_right, reg_lambda)
-    ) - gamma
-
-
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     """Closed-form optimal leaf output -G/(H + lambda)."""
     denom = h_sum + reg_lambda
@@ -108,11 +92,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.weight is not None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
     def predict_row(self, x) -> float:
         node = self
         while not node.is_leaf:
@@ -128,13 +107,6 @@ def _tree_predict_batch(node: TreeNode, cols: np.ndarray, out: np.ndarray, idx: 
     mask = cols[node.feature][idx] <= node.threshold
     _tree_predict_batch(node.left, cols, out, idx[mask])
     _tree_predict_batch(node.right, cols, out, idx[~mask])
-
-
-def tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Leaf outputs for every row of a feature matrix."""
-    out = np.empty(x.shape[0])
-    _tree_predict_batch(node, np.ascontiguousarray(x.T), out, np.arange(x.shape[0]))
-    return out
 
 
 def _fit_constants(x: np.ndarray, reg_lambda: float) -> tuple:

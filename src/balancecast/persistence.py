@@ -38,16 +38,23 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_number(value) -> int | float:
+    if type(value) not in (int, float):  # not a string or a bool
+        raise SchemaError(f"expected a JSON number, got {value!r}")
+    return value
+
+
 def _blocks_from_dict(doc: dict, config_type: type) -> dict:
     """``config`` and ``schema`` keyword arguments for a model constructor;
-    an integer field of the config must hold a JSON integer."""
+    an integer field of the config must hold a JSON integer, and a float
+    field any JSON number."""
     if not isinstance(doc["config"], dict):
         raise SchemaError(f"a model's config must be a JSON object, got {doc['config']!r}")
     config = dict(doc["config"])
     config.pop("seed", None)  # an unused field that older model files still carry
     for f in fields(config_type):
-        if f.type in ("int", int) and f.name in config:
-            _json_int(config[f.name])
+        if f.name in config:
+            (_json_int if f.type in ("int", int) else _json_number)(config[f.name])
     schema = doc["schema"]
     return {
         "config": config_type(**config),

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from balancecast import SyntheticConfig, align_horizon, generate_synthetic
+from balancecast.gbt import _score
 
 # Noise-free single-nonlinear-driver series: shape recovery and attribution.
 CLEAN_CFG = SyntheticConfig(
@@ -26,3 +28,51 @@ def spiky_data():
 def aligned_spiky(spiky_data):
     dataset, _ = spiky_data
     return align_horizon(dataset, 32)
+
+
+# ---------------------------------------------------------------------------
+# Oracles shared by the test modules: plain reference versions of what the
+# models compute, kept apart from the code they check.
+# ---------------------------------------------------------------------------
+
+
+def split_gain(g_left, h_left, g_right, h_right, reg_lambda, gamma):
+    """Improvement in the regularized objective from one binary split, from
+    the GBT's per-side score."""
+    return 0.5 * (
+        _score(g_left, h_left, reg_lambda)
+        + _score(g_right, h_right, reg_lambda)
+        - _score(g_left + g_right, h_left + h_right, reg_lambda)
+    ) - gamma
+
+
+def tree_predict(node, x):
+    """Leaf outputs of a tree for every row of ``x``, walked one row at a time."""
+    out = []
+    for row in np.asarray(x).tolist():
+        at = node
+        while not at.is_leaf:
+            at = at.left if row[at.feature] <= at.threshold else at.right
+        out.append(at.weight)
+    return np.array(out, dtype=np.float64)
+
+
+def tree_depth(node):
+    if node.is_leaf:
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def apply_shape_table(table, value):
+    """Look one value up in an exported shape table: bin k is (lower, upper]."""
+    for lower, upper, contribution in table:
+        if lower < value <= upper:
+            return contribution
+    return table[-1][2]
+
+
+def bin_centers(bins, j):
+    """Representative value per bin of feature ``j``, using the training range
+    for the edges."""
+    edges = np.concatenate(([bins.vmin[j]], bins.cuts[j], [bins.vmax[j]]))
+    return (edges[:-1] + edges[1:]) / 2.0

@@ -18,7 +18,6 @@ from balancecast import (
     GbtConfig,
     SyntheticConfig,
     align_horizon,
-    bin_centers,
     compute_metrics,
     ebm_predict,
     ebm_predict_batch,
@@ -39,7 +38,7 @@ from balancecast import (
 from balancecast.cli import main as cli_main
 from balancecast.data import CONTINUOUS, hydro_price_response
 
-from conftest import CLEAN_CFG
+from conftest import CLEAN_CFG, bin_centers
 
 
 def _ok(criterion: int, message: str) -> None:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from balancecast import ebm, gbt, stacking
+from balancecast import cli, ebm, errors, gbt, stacking
 from balancecast import ebm_predict_batch, load_csv, load_model, synthetic_schema
 from balancecast.cli import main
 from balancecast.data import align_horizon
@@ -197,6 +197,60 @@ class TestTrain:
             "--out", str(tmp_path),
         )
         assert code == 3
+
+
+def _subclasses(cls):
+    return [cls, *(s for sub in cls.__subclasses__() for s in _subclasses(sub))]
+
+
+# The exit-code contract of cli.py: 3 unless listed here.
+EXIT_CODES = {
+    "UsageError": 2,
+    "UnsupportedModelError": 2,
+    "DegenerateLeafError": 4,
+    "InsufficientHistoryError": 4,
+}
+
+
+class TestExitCodes:
+    """main ends on an error with one ``error:`` line and the error's exit
+    code. The errors are raised where --data is read; no file is touched."""
+
+    def _train_raising(self, monkeypatch, tmp_path, capsys, exc):
+        def load_csv(*_args):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_csv", load_csv)
+        code = run(
+            "train", "--data", str(tmp_path / "data.csv"), "--model", "naive",
+            "--out", str(tmp_path / "out"),
+        )
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error", _subclasses(errors.BalancecastError), ids=lambda cls: cls.__name__
+    )
+    def test_each_error_class_exits_with_its_code(self, monkeypatch, tmp_path, capsys, error):
+        code, err = self._train_raising(monkeypatch, tmp_path, capsys, error("boom"))
+        assert code == error.exit_code == EXIT_CODES.get(error.__name__, 3)
+        assert err == "error: boom\n"
+
+    @pytest.mark.parametrize(
+        "exc, expected",
+        [
+            (PermissionError(13, "Permission denied", "data.csv"), 3),
+            (OSError(28, "No space left on device"), 3),
+            (ZeroDivisionError("float division by zero"), 4),
+            (FloatingPointError("overflow encountered"), 4),
+        ],
+        ids=["PermissionError", "OSError", "ZeroDivisionError", "FloatingPointError"],
+    )
+    def test_os_and_arithmetic_errors(self, monkeypatch, tmp_path, capsys, exc, expected):
+        code, err = self._train_raising(monkeypatch, tmp_path, capsys, exc)
+        assert code == expected
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPredict:
@@ -509,9 +563,11 @@ def _changed_model_file(small_models, kind, path, value, out_dir):
 class TestModelFileEnvelopeFuzz:
     @settings(max_examples=150, deadline=None)
     @given(envelope_cases())
-    # Exited 2 (a kind that is not a string) and 0 (a fractional tree count).
+    # Exited 2 (a kind that is not a string) and 0 (a fractional tree count,
+    # a boolean learning rate).
     @example(("gbt", ("kind",), ["gbt"], "predict"))
     @example(("gbt", ("model", "config", "n_trees"), 2.5, "predict"))
+    @example(("gbt", ("model", "config", "learning_rate"), True, "predict"))
     def test_changed_envelope_field_exits_0_or_3(
         self, data_dir, small_models, tmp_path_factory, case
     ):
@@ -534,6 +590,9 @@ class TestModelFileEnvelopeFuzz:
             ("ebm", ("model", "config", "max_bins"), "8"),
             ("ebm", ("model", "config", "max_leaves_per_round"), 2.5),
             ("stacked", ("model", "meta", "config", "n_trees"), 2.5),
+            ("gbt", ("model", "config", "learning_rate"), True),
+            ("gbt", ("model", "config", "gamma"), False),
+            ("ebm", ("model", "config", "learning_rate"), True),
         ],
     )
     def test_malformed_envelope_exits_3(
@@ -547,6 +606,25 @@ class TestModelFileEnvelopeFuzz:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind, path, value",
+        [
+            ("gbt", ("model", "config", "reg_lambda"), 1),
+            ("gbt", ("model", "config", "gamma"), 0),
+            ("ebm", ("model", "config", "learning_rate"), 1),
+        ],
+    )
+    def test_integer_in_float_field_loads(self, data_dir, small_models, tmp_path, kind, path, value):
+        model = _changed_model_file(small_models, kind, path, value, tmp_path)
+        for name, m in (("changed", model), ("saved", small_models / kind / "model.json")):
+            code = run(
+                "predict", "--model", str(m), "--data", str(data_dir / "dataset.csv"),
+                "--out", str(tmp_path / name),
+            )
+            assert code == 0
+        changed, saved = (tmp_path / name / "predictions.csv" for name in ("changed", "saved"))
+        assert changed.read_bytes() == saved.read_bytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

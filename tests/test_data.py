@@ -22,7 +22,6 @@ from balancecast import (
     load_csv,
     save_csv,
     synthetic_schema,
-    truth_table,
 )
 from balancecast.data import (
     CONTINUOUS,
@@ -30,6 +29,7 @@ from balancecast.data import (
     _ar1,
     heating_price_response,
     hydro_price_response,
+    truth_table,
 )
 
 

@@ -15,8 +15,6 @@ from balancecast import (
     InvalidArgumentError,
     SchemaError,
     ShapeFunction,
-    apply_shape_table,
-    bin_centers,
     build_bins,
     ebm_from_dict,
     ebm_predict,
@@ -36,6 +34,8 @@ from balancecast.data import (
     hydro_price_response,
 )
 from balancecast.persistence import save_model
+
+from conftest import apply_shape_table, bin_centers
 
 
 def schema_for(p):

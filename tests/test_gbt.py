@@ -22,11 +22,11 @@ from balancecast import (
     gbt_to_dict,
     gbt_train,
     leaf_weight,
-    split_gain,
-    tree_predict,
 )
 from balancecast.data import CONTINUOUS, SyntheticConfig, align_horizon, generate_synthetic
 from balancecast.persistence import save_model, tree_to_dict
+
+from conftest import split_gain, tree_depth, tree_predict
 
 
 def schema_for(p):
@@ -349,7 +349,7 @@ class TestFitTree:
         d = dataset_for(rng.normal(size=(30, 2)))
         g = rng.normal(size=30)
         root = fit_tree(d, g, GbtConfig(max_depth=1, min_child_weight=0.0))
-        assert root.depth() <= 1
+        assert tree_depth(root) <= 1
 
     def test_empty_dataset_rejected(self):
         d = dataset_for(np.zeros((0, 1)).reshape(0, 1))
