@@ -9,7 +9,6 @@ both overall and restricted to deviation events.
 
 from .baseline import NaiveModel, naive_forecast
 from .data import (
-    CONTINUOUS,
     DEFAULT_HORIZON_STEPS,
     Dataset,
     FeatureSchema,

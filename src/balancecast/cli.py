@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, train, predict, evaluate, explain, grid. Every command
-is deterministic given its flags and seed, and all emitted artifacts are
-plain CSV/JSON so any plotting tool can consume them. Flags may also be
-supplied through a JSON config file (--config); explicit flags win.
+is deterministic given its flags and input files, and all emitted artifacts
+are plain CSV/JSON so any plotting tool can consume them. A dataset's CSV
+header names its features, and a saved model runs only on data with the
+features it was trained on. Flags may also be supplied through a JSON
+config file (--config); explicit flags win.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric/training
 error. Each error class carries its code as ``exit_code`` (errors.py, and
@@ -28,7 +30,6 @@ from .data import (
     load_csv,
     save_csv,
     save_truth_json,
-    synthetic_schema,
     write_csv_lines,
 )
 from .ebm import EbmConfig, ebm_predict, explain_local, save_global_explanation
@@ -76,7 +77,6 @@ class UsageError(BalancecastError):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, help="JSON file of default flag values")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None, help="output directory")
 
 
@@ -86,7 +86,7 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *configs: str) -> None:
-    added = {"seed"}  # every command has --seed (see _add_common)
+    added = set()
     for flag, config, field in CONFIG_FLAGS:
         if config in configs and flag not in added:
             added.add(flag)
@@ -228,7 +228,7 @@ def _load_dataset(args) -> Dataset:
     data = getattr(args, "data", None)
     if not data:
         raise UsageError("--data is required")
-    return load_csv(data, synthetic_schema())
+    return load_csv(data)
 
 
 def _aligned(args) -> tuple[Dataset, int]:

@@ -3,9 +3,10 @@
 A dataset is a gap-free 15-minute grid of feature rows plus a price target.
 Timestamps are integer quarter-hour indices counted from an arbitrary epoch,
 which sidesteps timezone and calendar questions entirely. Ingestion is
-CSV-only; a seeded synthetic generator stands in for real market data and
-exposes its ground-truth component functions so attribution and shape
-recovery can be tested against the data-generating process.
+CSV-only, and a file's header names its features; a seeded synthetic
+generator stands in for real market data and exposes its ground-truth
+component functions so attribution and shape recovery can be tested
+against the data-generating process.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import GridError, IngestError, InvalidArgumentError, SchemaError
-
-CONTINUOUS = "continuous"
-CYCLICAL = "cyclical-derived"
-_VALID_KINDS = (CONTINUOUS, CYCLICAL)
 
 QUARTERS_PER_HOUR = 4
 QUARTERS_PER_DAY = 96
@@ -60,23 +57,15 @@ def month_index(quarters: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature names with a continuous/cyclical tag per column."""
+    """Unique feature names, in the order of a dataset's columns (the CSV
+    header between ``timestamp`` and ``target``)."""
 
     names: tuple[str, ...]
-    kinds: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        if len(self.names) != len(self.kinds):
-            raise SchemaError(
-                f"{len(self.names)} names but {len(self.kinds)} kind tags"
-            )
         if len(set(self.names)) != len(self.names):
             raise SchemaError("feature names must be unique")
-        for name, kind in zip(self.names, self.kinds):
-            if kind not in _VALID_KINDS:
-                raise SchemaError(f"unknown kind {kind!r} for feature {name!r}")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -94,7 +83,7 @@ class FeatureSchema:
         try:
             return self.names.index(name)
         except ValueError:
-            raise SchemaError(f"unknown feature {name!r}") from None
+            raise SchemaError(f"no feature named {name!r} among {list(self.names)}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +91,15 @@ class Dataset:
     """Immutable feature matrix, target vector, and quarter-hour timestamps.
 
     Invariants enforced at construction: equal row counts everywhere, no
-    non-finite values, a valid spot-price column, and strictly consecutive
-    timestamps (a gap-free grid).
+    non-finite values, and strictly consecutive timestamps (a gap-free
+    grid). The spot price, where a harness needs it, is the feature named
+    ``spot``.
     """
 
     timestamps: np.ndarray = field(repr=False)
     features: np.ndarray = field(repr=False)
     target: np.ndarray = field(repr=False)
     schema: FeatureSchema
-    spot_column: int = 0
 
     def __post_init__(self):
         ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
@@ -130,10 +119,6 @@ class Dataset:
             )
         if not np.isfinite(x).all() or not np.isfinite(y).all():
             raise InvalidArgumentError("features and target must be finite")
-        if not 0 <= self.spot_column < p:
-            raise InvalidArgumentError(
-                f"spot_column {self.spot_column} out of range for {p} features"
-            )
         if n > 1:
             step = np.diff(ts)
             if (step <= 0).any():
@@ -159,7 +144,8 @@ class Dataset:
 
     @property
     def spot(self) -> np.ndarray:
-        return self.features[:, self.spot_column]
+        """The ``spot`` feature column; SchemaError if there is none."""
+        return self.features[:, self.schema.index_of("spot")]
 
     def slice_rows(self, start: int, stop: int) -> "Dataset":
         """Contiguous row window as a new Dataset (grid stays gap-free)."""
@@ -290,15 +276,34 @@ def _raise_first_error(path, header: list[str], rows, first_row_no: int) -> None
                 )
 
 
-def load_csv(path, schema: FeatureSchema) -> Dataset:
+def _header_schema(path, header: list[str]) -> FeatureSchema:
+    """The schema of a ``timestamp,<features...>,target`` header of unique
+    names that csv writes unquoted; any other header raises SchemaError."""
+    if len(header) < 3 or header[0] != "timestamp" or header[-1] != "target":
+        raise SchemaError(
+            f"{path}: header {header!r} is not timestamp,<features...>,target"
+        )
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: header {header!r} repeats a name")
+    for name in header:
+        # csv quotes an empty name and one with a comma, a quote or a "\n";
+        # a bare "\r" is a line break to the csv reader too.
+        if csv_line([name]) != name + "\n" or "\r" in name:
+            raise SchemaError(f"{path}: header {header!r} has a name csv must quote: {name!r}")
+    return FeatureSchema(tuple(header[1:-1]))
+
+
+def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
     """Read a dataset CSV, sort rows by timestamp, and validate the grid.
 
-    The header must be exactly ``timestamp,<schema names...>,target``. Cells
-    that fail to parse (bytes that are not UTF-8 among them), or parse to
-    non-finite values, timestamps outside int64 and rows the csv reader
-    rejects (a field over its size limit) raise IngestError with the 1-based
-    data row number, or naming the header. The spot column is the feature
-    named ``spot`` if present, else column 0.
+    Without a ``schema`` the header defines the features: it must read
+    ``timestamp,<features...>,target`` with at least one feature, no name
+    twice and no name that csv would quote, else SchemaError. With one it
+    must be exactly ``timestamp,<schema names...>,target``. Cells that fail
+    to parse (bytes that are not UTF-8 among them), or parse to non-finite
+    values, timestamps outside int64 and rows the csv reader rejects (a
+    field over its size limit) raise IngestError with the 1-based data row
+    number, or naming the header.
     """
     path = Path(path)
     # Undecodable bytes become lone surrogates, which no number parses, so
@@ -315,6 +320,8 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
             ",".join(header).encode()
         except UnicodeEncodeError:
             raise IngestError(f"{path}: header is not UTF-8 text") from None
+        if schema is None:
+            schema = _header_schema(path, header)
         expected = _expected_header(schema)
         for col in expected:
             if col not in header:
@@ -356,7 +363,6 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
         features=values[:, :p],
         target=values[:, p],
         schema=schema,
-        spot_column=schema.names.index("spot") if "spot" in schema.names else 0,
     )
 
 
@@ -455,11 +461,7 @@ class SyntheticTruth:
 
 
 def synthetic_schema() -> FeatureSchema:
-    kinds = tuple(
-        CYCLICAL if name.endswith(("_sin", "_cos")) else CONTINUOUS
-        for name in SYNTHETIC_FEATURES
-    )
-    return FeatureSchema(names=SYNTHETIC_FEATURES, kinds=kinds)
+    return FeatureSchema(SYNTHETIC_FEATURES)
 
 
 def _ar1(rng: np.random.Generator, n: int, rho: float, sd: float) -> np.ndarray:
@@ -561,13 +563,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, SyntheticTruth]:
         "month_cos": month_cos,
     }
     features = np.column_stack([columns[name] for name in SYNTHETIC_FEATURES])
-    schema = synthetic_schema()
     dataset = Dataset(
-        timestamps=ts,
-        features=features,
-        target=target,
-        schema=schema,
-        spot_column=SYNTHETIC_FEATURES.index("spot"),
+        timestamps=ts, features=features, target=target, schema=synthetic_schema()
     )
     truth = SyntheticTruth(
         base_target=base,

@@ -9,7 +9,8 @@ realized after the test window opens: no embargo drops them yet. Test
 predictions are pooled across folds into a single evaluated segment, then
 reported twice: once as-is and once keeping only deviation events, the rows
 where the realized price moved away from the spot anchor by more than
-epsilon.
+epsilon. The spot anchor is the dataset's ``spot`` feature; a dataset
+without one cannot be evaluated.
 """
 
 from __future__ import annotations
@@ -236,6 +237,7 @@ def evaluate(
     Emits two rows per model: unfiltered metrics over the pooled test
     predictions, and metrics restricted to deviation events. The report
     also carries the pooled segment and each model's pooled predictions.
+    A dataset without a ``spot`` feature raises SchemaError before any fit.
     """
     for fold in folds:
         if fold.test_end > d.n_rows:

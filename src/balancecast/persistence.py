@@ -28,7 +28,7 @@ def _blocks(m) -> dict:
     """The config and schema blocks that every learned model's document holds."""
     return {
         "config": asdict(m.config),
-        "schema": {"names": list(m.schema.names), "kinds": list(m.schema.kinds)},
+        "schema": {"names": list(m.schema.names)},
     }
 
 
@@ -47,18 +47,18 @@ def _json_number(value) -> int | float:
 def _blocks_from_dict(doc: dict, config_type: type) -> dict:
     """``config`` and ``schema`` keyword arguments for a model constructor;
     an integer field of the config must hold a JSON integer, and a float
-    field any JSON number."""
+    field any JSON number. The unused ``seed`` config field and ``kinds``
+    schema list of older model files are ignored."""
     if not isinstance(doc["config"], dict):
         raise SchemaError(f"a model's config must be a JSON object, got {doc['config']!r}")
     config = dict(doc["config"])
-    config.pop("seed", None)  # an unused field that older model files still carry
+    config.pop("seed", None)
     for f in fields(config_type):
         if f.name in config:
             (_json_int if f.type in ("int", int) else _json_number)(config[f.name])
-    schema = doc["schema"]
     return {
         "config": config_type(**config),
-        "schema": FeatureSchema(names=tuple(schema["names"]), kinds=tuple(schema["kinds"])),
+        "schema": FeatureSchema(names=tuple(doc["schema"]["names"])),
     }
 
 
@@ -84,12 +84,9 @@ def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
     """A tree whose splits use features ``0 .. n_features - 1``; a bad index or
     a non-finite threshold or weight raises SchemaError."""
     if "weight" in doc:
-        weight = float(doc["weight"])
-        if not math.isfinite(weight):
-            raise SchemaError(f"leaf weight {weight!r} is not finite")
-        return gbt.TreeNode(weight=weight)
-    feature, threshold = doc["feature"], float(doc["threshold"])
-    if type(feature) is not int or not 0 <= feature < n_features or not math.isfinite(threshold):
+        return gbt.TreeNode(weight=_finite(doc["weight"]))
+    feature, threshold = doc["feature"], _finite(doc["threshold"])
+    if type(feature) is not int or not 0 <= feature < n_features:
         raise SchemaError(f"bad split on feature {feature!r} of {n_features} at {threshold!r}")
     return gbt.TreeNode(
         feature=feature,

@@ -36,7 +36,7 @@ from balancecast import (
     stacked_train,
 )
 from balancecast.cli import main as cli_main
-from balancecast.data import CONTINUOUS, hydro_price_response
+from balancecast.data import hydro_price_response
 
 from conftest import CLEAN_CFG, bin_centers
 
@@ -85,7 +85,7 @@ def test_criterion_1_gbt_split_oracle():
         h = np.ones(n)
         lam = float(rng.choice([0.0, 0.5, 1.0]))
         gamma = float(rng.choice([0.0, 0.2]))
-        schema = FeatureSchema(tuple(f"f{i}" for i in range(p)), (CONTINUOUS,) * p)
+        schema = FeatureSchema(tuple(f"f{i}" for i in range(p)))
         d = Dataset(
             timestamps=np.arange(n), features=x, target=np.zeros(n), schema=schema
         )
@@ -405,7 +405,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     )
     train_argv = [
         "train", "--data", data, "--model", "ebm",
-        "--outer-rounds", "10", "--max-bins", "16", "--seed", "11",
+        "--outer-rounds", "10", "--max-bins", "16",
     ]
     run_twice("train", train_argv, ["model.json"])
     model_dir = tmp_path / "model"

@@ -168,7 +168,6 @@ class TestTrain:
         run(
             "train", "--data", str(data_dir / "dataset.csv"), "--model", "ebm",
             "--out", str(out), "--outer-rounds", "8", "--max-bins", "16",
-            "--seed", "42",
         )
         _, horizon, model = load_model(out / "model.json")
         raw = load_csv(data_dir / "dataset.csv", synthetic_schema())
@@ -519,9 +518,9 @@ def _envelope_paths(kind):
     n_features = len(synthetic_schema())
     for at, config_type in models:
         paths += [(*at, "config"), (*at, "schema")]
-        paths += [(*at, "schema", "names"), (*at, "schema", "kinds")]
+        paths += [(*at, "schema", "names")]
         paths += [(*at, "config", f.name) for f in dataclasses.fields(config_type)]
-        paths += [(*at, "schema", key, i) for key in ("names", "kinds") for i in range(n_features)]
+        paths += [(*at, "schema", "names", i) for i in range(n_features)]
     return paths
 
 
@@ -778,6 +777,109 @@ class TestExplain:
             "--data", str(data_dir / "dataset.csv"), "--out", str(tmp_path),
         )
         assert code == 2
+
+
+def _with_columns(src, dst, drop=(), rename=None):
+    """``src`` (an unquoted csv) written to ``dst`` without the ``drop``
+    columns and with header names mapped through ``rename``."""
+    lines = [line.split(",") for line in src.read_text().splitlines()]
+    keep = [j for j, name in enumerate(lines[0]) if name not in drop]
+    lines[0] = [(rename or {}).get(name, name) for name in lines[0]]
+    dst.write_text("".join(",".join(line[j] for j in keep) + "\n" for line in lines))
+    return dst
+
+
+class TestHeaderDefinedData:
+    """The CSV header names a dataset's features; models run on any."""
+
+    def test_train_predict_explain_on_other_features(self, data_dir, tmp_path, ebm_model):
+        data = _with_columns(
+            data_dir / "dataset.csv", tmp_path / "zone.csv",
+            drop=("wind",), rename={"consumption": "load"},
+        )
+        names = ["spot", "load", "hydro", "heating", "hour_sin", "hour_cos", "month_sin", "month_cos"]
+        for kind in ("gbt", "ebm"):
+            out = tmp_path / kind
+            assert run(
+                "train", "--data", str(data), "--model", kind, "--out", str(out),
+                "--n-trees", "3", "--outer-rounds", "5", "--max-bins", "16",
+            ) == 0
+            assert json.loads((out / "model.json").read_text())["model"]["schema"] == {"names": names}
+            assert run(
+                "predict", "--data", str(data), "--model", str(out / "model.json"),
+                "--out", str(out / "p"),
+            ) == 0
+        model = tmp_path / "ebm" / "model.json"
+        assert run("explain", "--data", str(data), "--model", str(model), "--out", str(tmp_path / "g")) == 0
+        importance = (tmp_path / "g" / "importance.csv").read_text().splitlines()
+        assert sorted(line.split(",")[1] for line in importance[1:]) == sorted(names)
+        assert run(
+            "explain", "--data", str(data), "--model", str(model), "--row", "5",
+            "--out", str(tmp_path / "x"),
+        ) == 0
+        # A model trained on the synthetic features does not run on these.
+        code, stderr = run_process(
+            "predict", "--data", str(data), "--model", str(ebm_model), "--out", str(tmp_path / "y"),
+        )
+        assert_clean_error(code, stderr, 3)
+        assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--models", "naive"],
+            ["grid", "--model", "gbt", "--param", "n_trees=2"],
+        ],
+    )
+    def test_backtest_without_spot_exits_3(self, data_dir, tmp_path, argv):
+        data = _with_columns(data_dir / "dataset.csv", tmp_path / "nospot.csv", drop=("spot",))
+        code, stderr = run_process(
+            *argv, "--data", str(data), "--initial-train", "400", "--test-len", "134",
+            "--out", str(tmp_path / "out"),
+        )
+        assert_clean_error(code, stderr, 3)
+        assert "'spot'" in stderr
+        assert not any((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "time,f0,target",
+            "timestamp,f0,price",
+            "timestamp,target",
+            "timestamp,f0,f0,target",
+            "timestamp,f0,timestamp,target",
+            'timestamp,"",target',
+            'timestamp,"a,b",target',
+            'timestamp,"a""b",target',
+            'timestamp,"a\nb",target',
+        ],
+    )
+    def test_malformed_header_exits_3(self, tmp_path, header):
+        (tmp_path / "d.csv").write_text(header + "\n0,1.0,2.0\n1,1.0,2.0\n")
+        code, stderr = run_process(
+            "train", "--model", "naive", "--data", "d.csv", "--horizon-steps", "1",
+            "--out", "out", cwd=tmp_path,
+        )
+        assert_clean_error(code, stderr, 3)
+        assert "header" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+class TestSeedBelongsToSynth:
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "explain", "grid"])
+    def test_seed_is_a_usage_error(self, data_dir, tmp_path, command, via):
+        argv = [command, "--data", str(data_dir / "dataset.csv"), "--out", "out"]
+        if via == "flag":
+            argv += ["--seed", "1"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1}))
+            argv += ["--config", "cfg.json"]
+        code, stderr = run_process(*argv, cwd=tmp_path)
+        assert code == 2, stderr
+        assert "Traceback" not in stderr and "seed" in stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestGrid:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,6 @@ from balancecast import (
     synthetic_schema,
 )
 from balancecast.data import (
-    CONTINUOUS,
     SYNTHETIC_FEATURES,
     _ar1,
     heating_price_response,
@@ -34,19 +34,16 @@ from balancecast.data import (
 
 
 def small_schema(p=2):
-    return FeatureSchema(
-        names=tuple(f"f{i}" for i in range(p)), kinds=(CONTINUOUS,) * p
-    )
+    return FeatureSchema(names=tuple(f"f{i}" for i in range(p)))
 
 
-def make_dataset(features, target, start=0, spot_column=0):
+def make_dataset(features, target, start=0):
     features = np.asarray(features, dtype=np.float64)
     return Dataset(
         timestamps=np.arange(start, start + len(features)),
         features=features,
         target=np.asarray(target, dtype=np.float64),
         schema=small_schema(features.shape[1]),
-        spot_column=spot_column,
     )
 
 
@@ -123,9 +120,11 @@ class TestDataset:
                 schema=small_schema(),
             )
 
-    def test_spot_column_bounds(self):
-        with pytest.raises(InvalidArgumentError):
-            make_dataset([[1.0, 2.0]], [1.0], spot_column=5)
+    def test_spot_needs_a_spot_feature(self):
+        d = make_dataset([[1.0, 2.0]], [1.0])
+        with pytest.raises(SchemaError, match="'spot'"):
+            d.spot
+        assert replace(d, schema=FeatureSchema(("f0", "spot"))).spot.tolist() == [2.0]
 
     def test_slice_rows_keeps_grid(self):
         d = make_dataset(np.arange(10.0).reshape(5, 2), np.arange(5.0))
@@ -192,7 +191,44 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.timestamps, d.timestamps)
         assert np.array_equal(back.features, d.features)
         assert np.array_equal(back.target, d.target)
-        assert back.spot_column == d.spot_column
+        assert np.array_equal(back.spot, d.spot)
+
+
+class TestCsvHeaderSchema:
+    def test_header_names_the_features(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("timestamp,load,spot,wind speed,target\n1,3.0,4.0,5.0,20.0\n0,1.0,2.0,3.0,10.0\n")
+        d = load_csv(path)
+        assert d.schema == FeatureSchema(("load", "spot", "wind speed"))
+        assert d.features.tolist() == [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]
+        assert d.spot.tolist() == [2.0, 4.0] and d.target.tolist() == [10.0, 20.0]
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "",
+            "time,f0,target",
+            "f0,timestamp,target",
+            "timestamp,f0,price",
+            "timestamp,target,f0",
+            "timestamp,target",
+            "timestamp",
+            "timestamp,f0,f0,target",
+            "timestamp,timestamp,target",
+            "timestamp,f0,target,target",
+            '"",target',
+            'timestamp,"",target',
+            'timestamp,"a,b",target',
+            'timestamp,"a""b",target',
+            'timestamp,"a\nb",target',
+            'timestamp,"a\rb",target',
+        ],
+    )
+    def test_malformed_header_is_schema_error(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_bytes((header + "\n0,1.0,2.0\n").encode())
+        with pytest.raises(SchemaError, match="header"):
+            load_csv(path)
 
 
 def reference_save_csv(d, path):
@@ -287,9 +323,15 @@ def outcome(load, path, schema):
 
 
 def assert_loads_like_reference(path, schema=None):
+    """The outcome of load_csv on ``path``, checked against the reference;
+    where the file's header is the schema's, also without a schema."""
     schema = schema or small_schema()
     expected = outcome(reference_load_csv, path, schema)
     assert outcome(load_csv, path, schema) == expected
+    with path.open(newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header == ["timestamp", *schema.names, "target"]:
+        assert outcome(load_csv, path, None) == expected
     return expected
 
 
@@ -468,7 +510,7 @@ class TestGenerateSynthetic:
         d, _ = generate_synthetic(SyntheticConfig(n_rows=10, seed=1))
         assert d.schema.names == SYNTHETIC_FEATURES
         assert d.schema == synthetic_schema()
-        assert d.spot_column == 0
+        assert np.array_equal(d.spot, d.features[:, SYNTHETIC_FEATURES.index("spot")])
 
     def test_degenerate_noise_matches_recipe(self):
         cfg = SyntheticConfig(n_rows=300, seed=4, noise_sd=0.0, spike_prob=0.0)

@@ -27,7 +27,6 @@ from balancecast import (
 )
 from balancecast import ebm
 from balancecast.data import (
-    CONTINUOUS,
     SyntheticConfig,
     align_horizon,
     generate_synthetic,
@@ -39,7 +38,7 @@ from conftest import apply_shape_table, bin_centers
 
 
 def schema_for(p):
-    return FeatureSchema(tuple(f"f{i}" for i in range(p)), (CONTINUOUS,) * p)
+    return FeatureSchema(tuple(f"f{i}" for i in range(p)))
 
 
 def dataset_for(features, target=None):

@@ -21,7 +21,6 @@ from balancecast import (
     model_spec,
 )
 from balancecast import ebm, stacking
-from balancecast.data import CONTINUOUS
 
 
 def metrics_oracle(y, y_hat):
@@ -203,7 +202,7 @@ def tiny_dataset(n=40, seed=0):
     spot = 10.0 + rng.normal(size=n)
     x2 = rng.normal(size=n)
     y = spot + 0.5 * x2 + rng.normal(scale=0.1, size=n)
-    schema = FeatureSchema(("spot", "other"), (CONTINUOUS, CONTINUOUS))
+    schema = FeatureSchema(("spot", "other"))
     return Dataset(
         timestamps=np.arange(n),
         features=np.column_stack([spot, x2]),

@@ -23,14 +23,14 @@ from balancecast import (
     gbt_train,
     leaf_weight,
 )
-from balancecast.data import CONTINUOUS, SyntheticConfig, align_horizon, generate_synthetic
+from balancecast.data import SyntheticConfig, align_horizon, generate_synthetic
 from balancecast.persistence import save_model, tree_to_dict
 
 from conftest import split_gain, tree_depth, tree_predict
 
 
 def schema_for(p):
-    return FeatureSchema(tuple(f"f{i}" for i in range(p)), (CONTINUOUS,) * p)
+    return FeatureSchema(tuple(f"f{i}" for i in range(p)))
 
 
 def dataset_for(features, target=None):

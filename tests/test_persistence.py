@@ -50,10 +50,12 @@ def test_registry_round_trip_predicts_bit_identically(kind, tiny_data, tmp_path)
         got = spec.predict(loaded, tiny_data, rows)
         assert np.array_equal(got, expected)
     assert "seed" not in path.read_text()
+    assert "kinds" not in path.read_text()
 
 
 def _legacy_stacked_file(path):
-    """A stacked model file as written when configs still had a seed field."""
+    """A stacked model file as written when configs still had a seed field
+    and schemas a list of kind tags."""
     schema = {"names": ["spot"], "kinds": ["continuous"]}
     base = {
         "intercept": 10.0,
@@ -98,8 +100,11 @@ def test_legacy_file_with_seed_loads(tmp_path):
     assert preds.tolist() == [10.5, 13.5]
     resaved = tmp_path / "resaved.json"
     save_model(model, horizon, resaved)
-    assert "seed" not in resaved.read_text()
-    assert load_model(resaved)[2].meta.config == model.meta.config
+    assert "seed" not in resaved.read_text() and "kinds" not in resaved.read_text()
+    reloaded = load_model(resaved)[2]
+    assert reloaded.meta.config == model.meta.config
+    assert reloaded.schema == model.schema
+    assert stacked_predict_batch(reloaded, np.array([[-1.0], [1.0]])).tolist() == [10.5, 13.5]
 
 
 def test_tree_nested_too_deeply_is_schema_error(tiny_data, tmp_path, monkeypatch):

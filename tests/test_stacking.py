@@ -18,15 +18,11 @@ from balancecast import (
     stacked_to_dict,
     stacked_train,
 )
-from balancecast.data import CONTINUOUS
 
 
 def dataset_for(features, target):
     features = np.asarray(features, dtype=np.float64)
-    schema = FeatureSchema(
-        tuple(f"f{i}" for i in range(features.shape[1])),
-        (CONTINUOUS,) * features.shape[1],
-    )
+    schema = FeatureSchema(tuple(f"f{i}" for i in range(features.shape[1])))
     return Dataset(
         timestamps=np.arange(features.shape[0]),
         features=features,
