@@ -66,6 +66,9 @@ class FeatureSchema:
         object.__setattr__(self, "names", tuple(self.names))
         if len(set(self.names)) != len(self.names):
             raise SchemaError("feature names must be unique")
+        for name in self.names:
+            if type(name) is not str or _csv_quotes(name):
+                raise SchemaError(f"feature name {name!r} is not text that csv writes unquoted")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -187,13 +190,21 @@ def align_horizon(d: Dataset, horizon_steps: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-# Rows that load_csv parses at a time: it holds one chunk's cells, never the
-# whole file's.
-_CSV_CHUNK_ROWS = 4096
+# Rows that load_csv parses and save_csv formats at a time: each holds one
+# chunk's lines and cells, never the whole file's. At 1,024 rows a chunk's
+# strings take less memory than a year-long file's arrays, so they do not
+# raise load_csv's peak.
+_CSV_CHUNK_ROWS = 1024
 
 
 def _expected_header(schema: FeatureSchema) -> list[str]:
     return ["timestamp", *schema.names, "target"]
+
+
+def _csv_quotes(name: str) -> bool:
+    """Whether csv must quote ``name``: it is empty or holds a comma, a quote
+    or a "\n" (csv quotes those), or a "\r" (a line break to the csv reader)."""
+    return csv_line([name]) != name + "\n" or "\r" in name
 
 
 def csv_line(cells) -> str:
@@ -233,20 +244,77 @@ def save_csv(d: Dataset, path) -> None:
     write_csv_lines(path, _expected_header(d.schema), chunks)
 
 
-def _parse_chunk(path, header: list[str], rows: list[list[str]], first_row_no: int):
-    """(int64 timestamps, float64 ``(rows, len(header) - 1)`` values) of a
-    chunk of csv rows whose first is data row ``first_row_no``; a malformed
-    row raises the IngestError of the first one."""
+def _parse_cells(path, header: list[str], stamps: list[str], values, rows, first_row_no: int):
+    """(int64 timestamps, float64 ``(len(stamps), len(header) - 1)`` values)
+    of consecutive data rows: ``stamps`` holds their timestamp cells and
+    ``values`` their other cells, row by row. A malformed cell raises the
+    IngestError of the first malformed row of ``rows()``, the same rows as
+    lists of cells, the first being data row ``first_row_no``."""
+    n = len(stamps)
     try:
-        if all(len(row) == len(header) for row in rows):
-            stamps = np.array(list(map(int, [row[0] for row in rows])), dtype=np.int64)
-            cells = itertools.chain.from_iterable([row[1:] for row in rows])
-            values = np.array(list(map(float, cells))).reshape(len(rows), -1)
-            if np.isfinite(values).all():
-                return stamps, values
+        timestamps = np.fromiter(map(int, stamps), np.int64, n)
+        block = np.fromiter(map(float, values), np.float64, n * (len(header) - 1))
+        if np.isfinite(block).all():
+            return timestamps, block.reshape(n, -1)
     except (ValueError, OverflowError):
         pass
-    _raise_first_error(path, header, rows, first_row_no)
+    _raise_first_error(path, header, rows(), first_row_no)
+
+
+def _plain_cells(lines: list[str], commas: int) -> list[str] | None:
+    """The cells of ``lines`` split at every comma, each row's last cell
+    keeping its line ending; None unless the csv reader would read each
+    line as one row of the same cells (no quote or NUL, ``commas`` commas
+    per line, no line over the field size limit)."""
+    text = ",".join(lines)
+    if (
+        '"' in text
+        or "\0" in text
+        or set(map(str.count, lines, itertools.repeat(","))) != {commas}
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    return text.split(",")
+
+
+def _read_rows(path, fh, header: list[str]):
+    """The (timestamps, values) chunks of the data rows of ``fh``, whose
+    header row is read. Chunks of lines that split at every comma into rows
+    of ``len(header)`` cells are split directly; from the first chunk that
+    does not, the csv reader reads the rest of the file. Both give the same
+    rows, row numbers and errors."""
+    k = len(header)
+    row_no = 1
+    while True:
+        lines = list(itertools.islice(fh, _CSV_CHUNK_ROWS))
+        if not lines:
+            return
+        cells = _plain_cells(lines, k - 1)
+        if cells is None:
+            break
+        stamps = cells[::k]
+        del cells[::k]
+        yield _parse_cells(
+            path, header, stamps, cells,
+            lambda: [line.rstrip("\r\n").split(",") for line in lines], row_no,
+        )
+        row_no += len(lines)
+    reader = csv.reader(itertools.chain(lines, fh))
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(itertools.islice(reader, _CSV_CHUNK_ROWS))
+        except csv.Error as exc:
+            # A malformed row read before the unreadable one is reported first.
+            _raise_first_error(path, header, rows, row_no)
+            raise IngestError(f"{path}: row {row_no + len(rows)}: {exc}") from None
+        if not rows:
+            return
+        if any(len(row) != k for row in rows):
+            _raise_first_error(path, header, rows, row_no)
+        cells = itertools.chain.from_iterable([row[1:] for row in rows])
+        yield _parse_cells(path, header, [row[0] for row in rows], cells, lambda: rows, row_no)
+        row_no += len(rows)
 
 
 def _raise_first_error(path, header: list[str], rows, first_row_no: int) -> None:
@@ -286,9 +354,7 @@ def _header_schema(path, header: list[str]) -> FeatureSchema:
     if len(set(header)) != len(header):
         raise SchemaError(f"{path}: header {header!r} repeats a name")
     for name in header:
-        # csv quotes an empty name and one with a comma, a quote or a "\n";
-        # a bare "\r" is a line break to the csv reader too.
-        if csv_line([name]) != name + "\n" or "\r" in name:
+        if _csv_quotes(name):
             raise SchemaError(f"{path}: header {header!r} has a name csv must quote: {name!r}")
     return FeatureSchema(tuple(header[1:-1]))
 
@@ -332,32 +398,22 @@ def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
             )
         p = len(schema)
         chunks = [(np.empty(0, dtype=np.int64), np.empty((0, p + 1)))]
-        row_no = 1
-        while True:
-            rows: list[list[str]] = []
-            try:
-                rows.extend(itertools.islice(reader, _CSV_CHUNK_ROWS))
-            except csv.Error as exc:
-                # A malformed row read before the unreadable one is reported first.
-                _raise_first_error(path, expected, rows, row_no)
-                raise IngestError(f"{path}: row {row_no + len(rows)}: {exc}") from None
-            if not rows:
-                break
-            chunks.append(_parse_chunk(path, expected, rows, row_no))
-            row_no += len(rows)
+        chunks.extend(_read_rows(path, fh, expected))
 
     timestamps = np.concatenate([stamps for stamps, _ in chunks])
-    order = np.argsort(timestamps, kind="stable")
-    timestamps = timestamps[order]
-    if len(timestamps) > 1:
+    values = np.concatenate([block for _, block in chunks])
+    chunks.clear()  # hold one copy of the cells; a file in order is not copied again
+    step = np.diff(timestamps)
+    if (step <= 0).any():
+        order = np.argsort(timestamps, kind="stable")
+        timestamps, values = timestamps[order], values[order]
         step = np.diff(timestamps)
-        if (step == 0).any():
-            dup = int(timestamps[int(np.argmax(step == 0))])
-            raise GridError(f"{path}: duplicate timestamp {dup}")
-        if (step != 1).any():
-            after = int(timestamps[int(np.argmax(step != 1))])
-            raise GridError(f"{path}: timestamp gap after quarter {after}")
-    values = np.concatenate([values for _, values in chunks])[order]
+    if (step == 0).any():
+        dup = int(timestamps[int(np.argmax(step == 0))])
+        raise GridError(f"{path}: duplicate timestamp {dup}")
+    if (step != 1).any():
+        after = int(timestamps[int(np.argmax(step != 1))])
+        raise GridError(f"{path}: timestamp gap after quarter {after}")
     return Dataset(
         timestamps=timestamps,
         features=values[:, :p],

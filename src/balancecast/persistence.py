@@ -74,15 +74,20 @@ def tree_to_dict(node: gbt.TreeNode) -> dict:
 
 
 def _finite(value) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise SchemaError(f"non-finite number {v!r} in a model file")
-    return v
+    """A finite JSON number as a float; a string, a bool, NaN or an
+    infinity raises SchemaError."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise SchemaError(f"expected a finite JSON number, got {value!r}")
+    return float(value)
+
+
+def _finite_array(values) -> np.ndarray:
+    return np.array([_finite(v) for v in values], dtype=np.float64)
 
 
 def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
-    """A tree whose splits use features ``0 .. n_features - 1``; a bad index or
-    a non-finite threshold or weight raises SchemaError."""
+    """A tree whose splits use features ``0 .. n_features - 1``; a bad index, or
+    a threshold or weight that is not a finite JSON number, raises SchemaError."""
     if "weight" in doc:
         return gbt.TreeNode(weight=_finite(doc["weight"]))
     feature, threshold = doc["feature"], _finite(doc["threshold"])
@@ -128,23 +133,24 @@ def ebm_to_dict(m: ebm.EbmModel) -> dict:
 
 
 def ebm_from_dict(doc: dict) -> ebm.EbmModel:
-    """Requires one shape per feature, one value per bin, and finite, strictly
-    ascending cuts; anything else raises SchemaError."""
+    """Requires one shape per feature, one value per bin, strictly ascending
+    cuts, and finite JSON numbers throughout; anything else raises
+    SchemaError."""
     blocks = _blocks_from_dict(doc, ebm.EbmConfig)
     bins = ebm.BinMap(
-        cuts=tuple(np.asarray(c, dtype=np.float64) for c in doc["bins"]["cuts"]),
-        vmin=tuple(float(v) for v in doc["bins"]["vmin"]),
-        vmax=tuple(float(v) for v in doc["bins"]["vmax"]),
+        cuts=tuple(_finite_array(c) for c in doc["bins"]["cuts"]),
+        vmin=tuple(_finite(v) for v in doc["bins"]["vmin"]),
+        vmax=tuple(_finite(v) for v in doc["bins"]["vmax"]),
     )
-    values = [np.asarray(v, dtype=np.float64) for v in doc["shapes"]]
+    values = [_finite_array(v) for v in doc["shapes"]]
     n_features = len(blocks["schema"])
     if not len(values) == len(bins.cuts) == len(bins.vmin) == len(bins.vmax) == n_features:
         raise SchemaError(
             f"{len(values)} shapes and {len(bins.cuts)} cut lists for {n_features} features"
         )
     for j, (cuts, v) in enumerate(zip(bins.cuts, values)):
-        if cuts.ndim != 1 or not np.isfinite(cuts).all() or (np.diff(cuts) <= 0).any():
-            raise SchemaError(f"the cuts of feature {j} are not finite and strictly ascending")
+        if (np.diff(cuts) <= 0).any():
+            raise SchemaError(f"the cuts of feature {j} are not strictly ascending")
         if v.shape != (len(cuts) + 1,):
             raise SchemaError(f"feature {j} has {len(cuts) + 1} bins but {v.size} shape values")
     return ebm.EbmModel(

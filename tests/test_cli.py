@@ -592,6 +592,17 @@ class TestModelFileEnvelopeFuzz:
             ("gbt", ("model", "config", "learning_rate"), True),
             ("gbt", ("model", "config", "gamma"), False),
             ("ebm", ("model", "config", "learning_rate"), True),
+            # Every number is a finite JSON number, not a string or a bool.
+            ("gbt", ("model", "base_score"), "0.5"),
+            ("gbt", ("model", "trees", 0, "threshold"), "0.5"),
+            ("ebm", ("model", "bins", "vmin", 0), "nan"),
+            ("ebm", ("model", "bins", "vmax", 0), True),
+            ("ebm", ("model", "shapes", 0, 0), True),
+            ("ebm", ("model", "intercept"), "1"),
+            ("stacked", ("model", "meta", "trees", 0, "threshold"), False),
+            # A feature name csv would have to quote.
+            ("gbt", ("model", "schema", "names", 0), "a,b"),
+            ("stacked", ("model", "base", "schema", "names", 1), 'a"b'),
         ],
     )
     def test_malformed_envelope_exits_3(

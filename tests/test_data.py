@@ -133,6 +133,17 @@ class TestDataset:
         assert list(s.timestamps) == [1, 2, 3]
 
 
+class TestFeatureSchema:
+    @pytest.mark.parametrize("name", ["", "a,b", 'a"b', "a\nb", "a\rb", "a\r\nb", 7, None])
+    def test_name_csv_must_quote_is_schema_error(self, name):
+        with pytest.raises(SchemaError, match="csv writes unquoted"):
+            FeatureSchema(("c", name))
+
+    def test_names_csv_writes_unquoted_are_kept(self):
+        names = ("wind speed", "prix \u20ac", "a;b", " pad ", "tab\tbed")
+        assert FeatureSchema(names).names == names
+
+
 class TestCsvRoundTrip:
     def test_happy_path(self, tmp_path):
         schema = small_schema()
@@ -229,6 +240,15 @@ class TestCsvHeaderSchema:
         path.write_bytes((header + "\n0,1.0,2.0\n").encode())
         with pytest.raises(SchemaError, match="header"):
             load_csv(path)
+
+    def test_header_name_csv_must_quote_names_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('timestamp,"a,b",target\n0,1.0,2.0\n')
+        with pytest.raises(SchemaError) as exc:
+            load_csv(path)
+        assert str(exc.value) == (
+            f"{path}: header ['timestamp', 'a,b', 'target'] has a name csv must quote: 'a,b'"
+        )
 
 
 def reference_save_csv(d, path):
@@ -363,6 +383,39 @@ SAVED_DATASETS = {
 }
 
 
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def _plain_line(cells, end):
+    return lambda row_no: f"{row_no},{','.join(cells)}{end}"
+
+
+# Makers of csv text for data row ``row_no`` (its timestamp): mostly plain
+# rows with any line ending, mixed with what the csv reader must read.
+LINES = st.one_of(
+    st.builds(
+        _plain_line,
+        st.lists(st.sampled_from(["1.5", "-0.0", "2", " 3 ", "1e3", "5e-324"]), min_size=3, max_size=3),
+        st.sampled_from(LINE_ENDS),
+    ),
+    st.sampled_from([
+        lambda r: f'{r},"1.5",2,3\n',
+        lambda r: f'{r},"1.5\n",2,3\n',  # a quoted line break
+        lambda r: f'{r},"\r\n2",2,3\r\n',
+        lambda r: f'{r},1\x005,2,3\n',
+        lambda r: "\n",
+        lambda r: "\r\n",
+        lambda r: f"{r},1,2,3,4\n{r + 1},1,2\n",  # 4 + 2 commas, 3 per line on average
+        lambda r: f"{r},1,2\r{r + 1},1,2,3,4\r",
+        lambda r: f"{r},1,x,3\n",
+        lambda r: f"{r},1,nan,3\r\n",
+        lambda r: f"{r},1,2,\n",
+        lambda r: f"{r},1,2,3,\n",
+        lambda r: f"{r},{'1' * (csv.field_size_limit() + 1)},2,3\n",
+    ]),
+)
+
+
 class TestCsvAgainstReference:
     @given(**SAVED_DATASETS)
     @settings(max_examples=60, deadline=None)
@@ -451,6 +504,69 @@ class TestCsvAgainstReference:
         csv_file(path, n, {n: f"{n - 1},1.5,1.5"})
         kind, message = assert_loads_like_reference(path)
         assert kind is IngestError and f"row {n} has 3 cells, expected 4" in message
+
+    @given(lines=st.lists(LINES, max_size=14), header_end=st.sampled_from(LINE_ENDS),
+           final_newline=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_lines_match_reference_in_3_line_chunks(
+        self, tmp_path_factory, lines, header_end, final_newline
+    ):
+        text = "timestamp,f0,f1,target" + header_end
+        text += "".join(make(row_no) for row_no, make in enumerate(lines))
+        if not final_newline:
+            text = text.rstrip("\r\n")
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(data, "_CSV_CHUNK_ROWS", 3):
+            assert_loads_like_reference(path)
+
+    def test_quoted_line_break_across_chunks(self, tmp_path):
+        # Chunk 2 (lines 4-6) ends inside row 6's quoted cell; the csv reader
+        # reads from there, and row numbers count rows, not lines.
+        lines = [f"{r},1.5,1.5,1.5\r\n" for r in range(5)]
+        lines += ['5,"1.5\n', '",1.5,1.5\n', "6,2.5,2.5,2.5\n", "7,x,1.5,1.5\n"]
+        path = tmp_path / "d.csv"
+        path.write_text("timestamp,f0,f1,target\n" + "".join(lines), newline="")
+        with mock.patch.object(data, "_CSV_CHUNK_ROWS", 3):
+            kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and "row 8: cannot parse f0='x'" in message
+
+    def test_long_and_short_row_with_equal_comma_total(self, tmp_path):
+        path = csv_file(tmp_path / "d.csv", 6, {2: "1,1.5,1.5,1.5,1.5", 3: "2,1.5,1.5"})
+        with mock.patch.object(data, "_CSV_CHUNK_ROWS", 3):
+            kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and "row 2 has 5 cells, expected 4" in message
+
+    def test_oversized_field_in_a_later_chunk(self, tmp_path):
+        oversized = "1" * (csv.field_size_limit() + 1)
+        path = csv_file(tmp_path / "d.csv", 12, {11: f"10,{oversized},1.5,2.0"})
+        with mock.patch.object(data, "_CSV_CHUNK_ROWS", 3):
+            kind, message = assert_loads_like_reference(path)
+        assert kind is IngestError and "row 11: field larger than field limit" in message
+
+    @pytest.mark.parametrize("line_end", LINE_ENDS)
+    def test_plain_file_reads_no_data_row_with_the_csv_reader(self, tmp_path, line_end):
+        d, _ = generate_synthetic(SyntheticConfig())
+        path = tmp_path / "d.csv"
+        save_csv(d, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            loaded = load_csv(path)
+        assert reader.call_count == 1  # the header's
+        assert outcome(lambda *_: loaded, None, None) == outcome(lambda *_: d, None, None)
+
+    def test_quoted_cell_hands_the_rest_to_the_csv_reader(self, tmp_path):
+        d, _ = generate_synthetic(SyntheticConfig())
+        path = tmp_path / "d.csv"
+        save_csv(d, path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines[1500].split(",")
+        lines[1500] = ",".join([row[0], f'"{row[1]}"', *row[2:]])
+        path.write_text("".join(lines))
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            loaded = load_csv(path)
+        assert reader.call_count == 2
+        assert outcome(lambda *_: loaded, None, None) == outcome(lambda *_: d, None, None)
 
     @pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
     def test_timestamp_outside_int64_is_ingest_error(self, tmp_path, cell):

@@ -119,3 +119,61 @@ def test_tree_nested_too_deeply_is_schema_error(tiny_data, tmp_path, monkeypatch
     monkeypatch.setattr(json, "load", lambda fh: doc)
     with pytest.raises(SchemaError, match="RecursionError"):
         load_model(path)
+
+
+def _leftmost_leaf(tree):
+    while "weight" not in tree:
+        tree = tree["left"]
+    return tree
+
+
+def _set(key, value):
+    def change(doc):
+        doc[key] = value
+    return change
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("gbt", lambda m: _set("threshold", str(m["trees"][0]["threshold"]))(m["trees"][0])),
+        ("gbt", lambda m: _set("weight", True)(_leftmost_leaf(m["trees"][1]))),
+        ("gbt", lambda m: _set("weight", float("nan"))(_leftmost_leaf(m["trees"][0]))),
+        ("gbt", lambda m: _set("base_score", "1.0")(m)),
+        ("gbt", lambda m: _set("base_score", 10**400)(m)),
+        ("ebm", lambda m: _set(0, [str(c) for c in m["bins"]["cuts"][0]])(m["bins"]["cuts"])),
+        ("ebm", lambda m: _set(1, float("inf"))(m["bins"]["cuts"][2])),
+        ("ebm", lambda m: _set(0, True)(m["shapes"][0])),
+        ("ebm", lambda m: _set(3, None)(m["shapes"][1])),
+        ("ebm", lambda m: _set(0, "nan")(m["bins"]["vmin"])),
+        ("ebm", lambda m: _set(0, True)(m["bins"]["vmax"])),
+        ("ebm", lambda m: _set("intercept", False)(m)),
+        ("stacked", lambda m: _set(0, "0")(m["base"]["shapes"][2])),
+        ("stacked", lambda m: _set("threshold", [1.0])(m["meta"]["trees"][0])),
+    ],
+    ids=[
+        "string-threshold", "true-leaf-weight", "nan-leaf-weight", "string-base-score",
+        "huge-base-score", "string-cuts", "infinite-cut", "true-in-shape", "null-in-shape",
+        "string-vmin", "true-vmax", "false-intercept", "string-in-base-shape",
+        "list-meta-threshold",
+    ],
+)
+def test_every_model_number_is_a_finite_json_number(kind, change, tiny_data, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(KINDS[kind].train(tiny_data, TINY[kind]), 8, path)
+    doc = json.loads(path.read_text())
+    change(doc["model"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb", ""])
+def test_schema_name_csv_must_quote_is_schema_error(name, tiny_data, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(KINDS["gbt"].train(tiny_data, TINY["gbt"]), 8, path)
+    doc = json.loads(path.read_text())
+    doc["model"]["schema"]["names"][4] = name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="csv writes unquoted"):
+        load_model(path)
