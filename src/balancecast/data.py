@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -58,7 +59,8 @@ def month_index(quarters: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FeatureSchema:
     """Unique feature names, in the order of a dataset's columns (the CSV
-    header between ``timestamp`` and ``target``)."""
+    header between ``timestamp`` and ``target``, which no feature may be
+    named)."""
 
     names: tuple[str, ...]
 
@@ -69,6 +71,12 @@ class FeatureSchema:
         for name in self.names:
             if type(name) is not str or _csv_quotes(name):
                 raise SchemaError(f"feature name {name!r} is not text that csv writes unquoted")
+            if name in ("timestamp", "target"):
+                raise SchemaError(f"feature name {name!r} is taken by a column of the CSV header")
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate
+                raise SchemaError(f"feature name {name!r} is not UTF-8 text") from None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -222,11 +230,71 @@ def write_csv_lines(path, header: list[str], lines) -> None:
         fh.writelines(lines)
 
 
-def write_json(path, payload) -> None:
-    """``payload`` as indented JSON plus a trailing newline; floats keep
-    their shortest repr, so a reload reproduces them exactly."""
+def json_scalar(value) -> str:
+    """``value`` as json writes a float (via ``float.__repr__``), str, None,
+    bool or int. NaN and the infinities raise ValueError, as json does with
+    ``allow_nan=False``, and any other type raises TypeError."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if value is None or isinstance(value, (str, bool)):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    # json turns a number, bool or None key into its text, then quotes it.
+    return json.dumps(key if isinstance(key, str) else json_scalar(key))
+
+
+def _write_json_value(write, value, nl: str, formats: Mapping) -> None:
+    """Write ``value`` as ``json.dump(..., indent=2)`` lays it out when it
+    starts a line at ``nl``, a newline and its indentation."""
+    fmt = formats.get(type(value))
+    if fmt is not None:
+        write(fmt(value, nl))
+    elif isinstance(value, dict):
+        keys = [_json_key(k) + ": " for k in value]
+        _write_json_items(write, keys, value.values(), "{}", nl, formats)
+    elif isinstance(value, (list, tuple)):
+        _write_json_items(write, itertools.repeat(""), value, "[]", nl, formats)
+    else:
+        write(json_scalar(value))
+
+
+def _write_json_items(write, keys, items, brackets: str, nl: str, formats: Mapping) -> None:
+    """An object's or an array's ``items``, each after its key (``""`` in an
+    array); an object or array of scalars is one string."""
+    if not items:
+        write(brackets)
+        return
+    inner = nl + "  "
+    if any(t in formats or issubclass(t, (dict, list, tuple)) for t in set(map(type, items))):
+        sep = brackets[0] + inner
+        for key, item in zip(keys, items):
+            write(sep + key)
+            _write_json_value(write, item, inner, formats)
+            sep = "," + inner
+        write(nl + brackets[1])
+    else:
+        texts = map(str.__add__, keys, map(json_scalar, items))
+        write(brackets[0] + inner + ("," + inner).join(texts) + nl + brackets[1])
+
+
+def write_json(
+    path, payload, formats: Mapping[type, Callable[[object, str], str]] | None = None
+) -> None:
+    """Stream ``payload`` to ``path`` byte for byte as
+    ``json.dump(payload, fh, indent=2, allow_nan=False)`` plus a trailing
+    newline would; floats keep their shortest repr, so a reload reproduces
+    them exactly. ``formats`` maps a type to the JSON text of an instance
+    that starts a line at its second argument (a newline and the
+    indentation); it takes precedence over the array form of tuples."""
     with Path(path).open("w", newline="") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
+        _write_json_value(fh.write, payload, "\n", formats or {})
         fh.write("\n")
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,7 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     return -g_sum / denom
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """One node of a regression tree; a node is a leaf iff weight is set."""
 
     weight: float | None = None
@@ -94,14 +94,14 @@ class TreeNode:
 
     def predict_row(self, x) -> float:
         node = self
-        while not node.is_leaf:
+        while node.weight is None:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node.weight
 
 
 def _tree_predict_batch(node: TreeNode, cols: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
     # cols[f] is feature f of every row: row f of x.T, contiguous.
-    if node.is_leaf:
+    if node.weight is not None:
         out[idx] = node.weight
         return
     mask = cols[node.feature][idx] <= node.threshold

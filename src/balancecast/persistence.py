@@ -4,8 +4,8 @@
 the CLI, the evaluation harness and the model files all go through it. A
 model file is a JSON envelope tagging the kind and forecast horizon around
 the model's ``*_to_dict`` document; this module is the only one that knows
-that format. Floats survive the round trip exactly because json serializes
-Python floats via their shortest repr.
+that format. Floats survive the round trip exactly because ``write_json``
+writes them via their shortest repr.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ebm, gbt, stacking
 from .baseline import NaiveModel, naive_forecast
-from .data import FeatureSchema, write_json
+from .data import FeatureSchema, json_scalar, write_json
 from .errors import SchemaError, UnsupportedModelError
 
 
@@ -62,15 +62,19 @@ def _blocks_from_dict(doc: dict, config_type: type) -> dict:
     }
 
 
-def tree_to_dict(node: gbt.TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
+def _tree_json(node: gbt.TreeNode, nl: str) -> str:
+    """The JSON text of ``node``'s dict form, ``{"weight": w}`` or
+    ``{"feature": f, "threshold": t, "left": ..., "right": ...}``, as
+    write_json lays it out at the line start ``nl``; one string per node."""
+    inner = nl + "  "
+    if node.weight is not None:
+        return f'{{{inner}"weight": {json_scalar(node.weight)}{nl}}}'
+    return (
+        f'{{{inner}"feature": {json_scalar(node.feature)},'
+        f'{inner}"threshold": {json_scalar(node.threshold)},'
+        f'{inner}"left": {_tree_json(node.left, inner)},'
+        f'{inner}"right": {_tree_json(node.right, inner)}{nl}}}'
+    )
 
 
 def _finite(value) -> float:
@@ -88,24 +92,31 @@ def _finite_array(values) -> np.ndarray:
 def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
     """A tree whose splits use features ``0 .. n_features - 1``; a bad index, or
     a threshold or weight that is not a finite JSON number, raises SchemaError."""
-    if "weight" in doc:
-        return gbt.TreeNode(weight=_finite(doc["weight"]))
-    feature, threshold = doc["feature"], _finite(doc["threshold"])
-    if type(feature) is not int or not 0 <= feature < n_features:
-        raise SchemaError(f"bad split on feature {feature!r} of {n_features} at {threshold!r}")
-    return gbt.TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=tree_from_dict(doc["left"], n_features),
-        right=tree_from_dict(doc["right"], n_features),
-    )
+    node, isfinite = gbt.TreeNode, math.isfinite
+
+    def decode(doc) -> gbt.TreeNode:
+        # The float checks inline _finite's common case; _finite converts an
+        # int and raises for anything else.
+        if "weight" in doc:
+            weight = doc["weight"]
+            return node(weight if type(weight) is float and isfinite(weight) else _finite(weight))
+        feature, threshold = doc["feature"], doc["threshold"]
+        if type(threshold) is not float or not isfinite(threshold):
+            threshold = _finite(threshold)
+        if type(feature) is not int or not 0 <= feature < n_features:
+            raise SchemaError(f"bad split on feature {feature!r} of {n_features} at {threshold!r}")
+        return node(None, feature, threshold, decode(doc["left"]), decode(doc["right"]))
+
+    return decode(doc)
 
 
 def gbt_to_dict(m: gbt.GbtModel) -> dict:
+    """The model's document; its trees stay TreeNodes, which save_model
+    writes in their dict form without building it."""
     return {
         "base_score": m.base_score,
         **_blocks(m),
-        "trees": [tree_to_dict(t) for t in m.trees],
+        "trees": list(m.trees),
     }
 
 
@@ -247,7 +258,7 @@ def save_model(model, horizon_steps: int, path) -> None:
     if kind is None:
         raise UnsupportedModelError(f"cannot persist {type(model).__name__}")
     doc = {"kind": kind.name, "horizon_steps": int(horizon_steps), "model": kind.to_dict(model)}
-    write_json(path, doc)
+    write_json(path, doc, {gbt.TreeNode: _tree_json})
 
 
 def load_model(path):

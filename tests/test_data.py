@@ -133,6 +133,15 @@ class TestDataset:
         assert list(s.timestamps) == [1, 2, 3]
 
 
+# Feature names: any character (lone surrogates too), the ones csv quotes or
+# str.splitlines breaks at, and the header's own column names.
+SCHEMA_NAMES = st.text(
+    st.characters() | st.characters(categories=["Cs"])
+    | st.sampled_from(',"\r\n\x00\x0b\x1c\x85\u2028\ufeff '),
+    max_size=4,
+) | st.sampled_from(["timestamp", "target", "spot", "a,b"])
+
+
 class TestFeatureSchema:
     @pytest.mark.parametrize("name", ["", "a,b", 'a"b', "a\nb", "a\rb", "a\r\nb", 7, None])
     def test_name_csv_must_quote_is_schema_error(self, name):
@@ -142,6 +151,40 @@ class TestFeatureSchema:
     def test_names_csv_writes_unquoted_are_kept(self):
         names = ("wind speed", "prix \u20ac", "a;b", " pad ", "tab\tbed")
         assert FeatureSchema(names).names == names
+
+    @pytest.mark.parametrize("name", ["timestamp", "target"])
+    def test_header_column_name_is_schema_error(self, name):
+        with pytest.raises(SchemaError, match="taken by a column of the CSV header"):
+            FeatureSchema(("c", name))
+
+    def test_lone_surrogate_is_schema_error(self):
+        with pytest.raises(SchemaError, match="not UTF-8 text"):
+            FeatureSchema(("c", "a\ud800"))
+
+    @given(
+        names=st.lists(SCHEMA_NAMES, min_size=1, max_size=4),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_accepted_schema_round_trips_through_csv(self, tmp_path_factory, names, values):
+        try:
+            schema = FeatureSchema(tuple(names))
+        except SchemaError:
+            return
+        p = len(names)
+        d = Dataset(
+            timestamps=np.arange(3, 5),
+            features=np.resize(values, (2, p)),
+            target=np.array(values[-2:]),
+            schema=schema,
+        )
+        path = tmp_path_factory.mktemp("schema") / "d.csv"
+        save_csv(d, path)
+        back = load_csv(path)
+        assert back.schema == schema
+        assert np.array_equal(back.features, d.features)
+        assert np.array_equal(back.target, d.target)
+        assert back.timestamps.tolist() == [3, 4]
 
 
 class TestCsvRoundTrip:

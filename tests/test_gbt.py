@@ -24,9 +24,9 @@ from balancecast import (
     leaf_weight,
 )
 from balancecast.data import SyntheticConfig, align_horizon, generate_synthetic
-from balancecast.persistence import save_model, tree_to_dict
+from balancecast.persistence import save_model
 
-from conftest import split_gain, tree_depth, tree_predict
+from conftest import plain_json, split_gain, tree_depth, tree_predict, tree_to_dict
 
 
 def schema_for(p):
@@ -273,6 +273,37 @@ class TestMatchesReference:
         assert_gbt_train_matches_reference(tmp_path, cfg)
 
 
+class TestTreeNode:
+    def test_keyword_construction(self):
+        leaf = TreeNode(weight=1.5)
+        assert (leaf.weight, leaf.feature, leaf.threshold, leaf.left, leaf.right) == (
+            1.5, None, None, None, None,
+        )
+        split = TreeNode(feature=2, threshold=0.5, left=leaf, right=TreeNode(weight=-1.0))
+        assert split.weight is None and split.left is leaf
+        assert leaf.is_leaf and not split.is_leaf
+        assert split.predict_row([9.0, 9.0, 0.5]) == 1.5
+        assert split.predict_row([9.0, 9.0, 0.75]) == -1.0
+
+    @pytest.mark.parametrize("name", ["weight", "feature", "threshold", "left", "right", "extra"])
+    def test_assignment_is_attribute_error(self, name):
+        node = TreeNode(weight=1.0)
+        with pytest.raises(AttributeError):
+            setattr(node, name, 2.0)
+        assert node.weight == 1.0
+
+    def test_equality_by_value(self):
+        def tree(threshold):
+            return TreeNode(
+                feature=0, threshold=threshold, left=TreeNode(weight=1.0), right=TreeNode(weight=2.0)
+            )
+
+        assert tree(0.5) == tree(0.5) and tree(0.5) is not tree(0.5)
+        assert hash(tree(0.5)) == hash(tree(0.5))
+        assert tree(0.5) != tree(0.25)
+        assert TreeNode(weight=1.0) != TreeNode(weight=2.0)
+
+
 class TestSplitGain:
     def test_zero_gradients(self):
         assert split_gain(0, 1, 0, 1, 0, 0) == 0.0
@@ -510,7 +541,7 @@ class TestGbtPersistence:
     def test_round_trip_exact(self, aligned_spiky):
         sub = aligned_spiky.slice_rows(0, 250)
         m = gbt_train(sub, GbtConfig(n_trees=5, max_depth=4))
-        doc = json.loads(json.dumps(gbt_to_dict(m)))
+        doc = json.loads(json.dumps(plain_json(gbt_to_dict(m))))
         back = gbt_from_dict(doc)
         assert back.base_score == m.base_score
         assert back.config == m.config

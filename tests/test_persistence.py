@@ -1,11 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balancecast import (
     KINDS,
     SchemaError,
+    TreeNode,
     EbmConfig,
     GbtConfig,
     SyntheticConfig,
@@ -15,6 +19,10 @@ from balancecast import (
     save_model,
     stacked_predict_batch,
 )
+from balancecast.data import write_json
+from balancecast.persistence import _tree_json
+
+from conftest import plain_json, reference_write_json
 
 # The smallest training config per registered kind; a kind added to KINDS
 # without an entry here fails test_every_kind_has_a_case.
@@ -177,3 +185,138 @@ def test_schema_name_csv_must_quote_is_schema_error(name, tiny_data, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="csv writes unquoted"):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_save_model_writes_what_json_dump_writes(kind, tiny_data, tmp_path):
+    model = KINDS[kind].train(tiny_data, TINY[kind])
+    save_model(model, 8, tmp_path / "model.json")
+    doc = {"kind": kind, "horizon_steps": 8, "model": KINDS[kind].to_dict(model)}
+    reference_write_json(tmp_path / "reference.json", doc)
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+TREE_FORMAT = {TreeNode: _tree_json}
+FLOATS = (
+    st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+    | st.floats().map(np.float64)
+)
+TEXT = st.text(st.characters() | st.characters(categories=["Cc", "Cs"]), max_size=6)
+SCALARS = st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200) | FLOATS | TEXT
+TREES = st.recursive(
+    st.builds(lambda w: TreeNode(weight=w), FLOATS | st.integers(-5, 5)),
+    lambda kids: st.builds(
+        lambda f, t, left, right: TreeNode(feature=f, threshold=t, left=left, right=right),
+        st.integers(0, 9), FLOATS, kids, kids,
+    ),
+    max_leaves=6,
+)
+PAYLOADS = st.recursive(
+    SCALARS | TREES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(TEXT | st.integers() | FLOATS | st.booleans() | st.none(), kids, max_size=4),
+    max_leaves=16,
+)
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "payload.json"
+
+
+@given(payload=PAYLOADS)
+@settings(max_examples=400, deadline=None)
+def test_writer_writes_what_json_dumps_writes(json_path, payload):
+    """Byte for byte json.dumps(indent=2) of the payload with every TreeNode
+    in its dict form; where json raises ValueError (NaN or an infinity), so
+    does the writer."""
+    try:
+        expected = json.dumps(plain_json(payload), indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError):
+            write_json(json_path, payload, TREE_FORMAT)
+        return
+    write_json(json_path, payload, TREE_FORMAT)
+    assert json_path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        math.nan,
+        [1.0, math.inf],
+        {"a": -math.inf},
+        {math.nan: 1},
+        [[np.float64("nan"), 1]],
+        [TreeNode(weight=math.nan)],
+        {"trees": [TreeNode(feature=0, threshold=math.inf, left=TreeNode(weight=1.0), right=TreeNode(weight=2.0))]},
+    ],
+)
+def test_writer_rejects_nan_and_infinities(json_path, payload):
+    with pytest.raises(ValueError):
+        json.dumps(plain_json(payload), allow_nan=False)
+    with pytest.raises(ValueError):
+        write_json(json_path, payload, TREE_FORMAT)
+
+
+def _gbt_file(path, tree):
+    """A one-feature-pair gbt model file whose second tree is ``tree``."""
+    model = {
+        "base_score": 0.5,
+        "config": {"n_trees": 2, "learning_rate": 0.5, "gamma": 0.0, "reg_lambda": 1.0,
+                   "max_depth": 2, "min_child_weight": 1.0},
+        "schema": {"names": ["spot", "wind"]},
+        "trees": [{"weight": 2.0}, tree],
+    }
+    path.write_text(json.dumps({"kind": "gbt", "horizon_steps": 4, "model": model}))
+
+
+def _split(**changes):
+    return {"feature": 1, "threshold": 1.5, "left": {"weight": 1.0}, "right": {"weight": 3.0}, **changes}
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (_split(feature=99), "SchemaError('bad split on feature 99 of 2 at 1.5')"),
+        (_split(feature=-1), "SchemaError('bad split on feature -1 of 2 at 1.5')"),
+        (_split(feature="1"), "SchemaError(\"bad split on feature '1' of 2 at 1.5\")"),
+        (_split(feature=1.0), "SchemaError('bad split on feature 1.0 of 2 at 1.5')"),
+        (_split(feature=True), "SchemaError('bad split on feature True of 2 at 1.5')"),
+        (_split(threshold="1.5"), "SchemaError(\"expected a finite JSON number, got '1.5'\")"),
+        (_split(threshold=True), "SchemaError('expected a finite JSON number, got True')"),
+        (_split(threshold=False), "SchemaError('expected a finite JSON number, got False')"),
+        (_split(threshold=math.nan), "SchemaError('expected a finite JSON number, got nan')"),
+        (_split(threshold=None), "SchemaError('expected a finite JSON number, got None')"),
+        (_split(threshold=10**400), "OverflowError("),
+        ({"weight": math.inf}, "SchemaError('expected a finite JSON number, got inf')"),
+        ({"weight": -math.inf}, "SchemaError('expected a finite JSON number, got -inf')"),
+        ({"weight": "1"}, "SchemaError(\"expected a finite JSON number, got '1'\")"),
+        ({"weight": True}, "SchemaError('expected a finite JSON number, got True')"),
+        ({"weight": [1.0]}, "SchemaError('expected a finite JSON number, got [1.0]')"),
+        ({"feature": 1, "threshold": 1.5, "right": {"weight": 1.0}}, "KeyError('left')"),
+        ({"feature": 1, "left": {"weight": 1.0}, "right": {"weight": 1.0}}, "KeyError('threshold')"),
+        ([1.0], "TypeError("),
+        (None, "TypeError("),
+    ],
+)
+def test_malformed_tree_is_the_same_schema_error(tree, message, tmp_path):
+    path = tmp_path / "model.json"
+    _gbt_file(path, tree)
+    with pytest.raises(SchemaError) as info:
+        load_model(path)
+    expected = f"malformed gbt model file {path}: {message}"
+    if message.endswith("("):  # the text of a built-in error varies with the Python version
+        assert str(info.value).startswith(expected)
+    else:
+        assert str(info.value) == expected
+
+
+def test_integer_tree_numbers_load_as_floats(tmp_path):
+    path = tmp_path / "model.json"
+    _gbt_file(path, _split(threshold=1, left={"weight": -2}))
+    tree = load_model(path)[2].trees[1]
+    assert tree == TreeNode(feature=1, threshold=1.0, left=TreeNode(weight=-2.0), right=TreeNode(weight=3.0))
+    assert type(tree.threshold) is float and type(tree.left.weight) is float
