@@ -250,33 +250,32 @@ def _json_key(key) -> str:
     return json.dumps(key if isinstance(key, str) else json_scalar(key))
 
 
-def _write_json_value(write, value, nl: str, formats: Mapping) -> None:
+def _write_json_value(write, value, nl: str, node_type, node_json) -> None:
     """Write ``value`` as ``json.dump(..., indent=2)`` lays it out when it
     starts a line at ``nl``, a newline and its indentation."""
-    fmt = formats.get(type(value))
-    if fmt is not None:
-        write(fmt(value, nl))
+    if type(value) is node_type:
+        write(node_json(value, nl))
     elif isinstance(value, dict):
         keys = [_json_key(k) + ": " for k in value]
-        _write_json_items(write, keys, value.values(), "{}", nl, formats)
+        _write_json_items(write, keys, value.values(), "{}", nl, node_type, node_json)
     elif isinstance(value, (list, tuple)):
-        _write_json_items(write, itertools.repeat(""), value, "[]", nl, formats)
+        _write_json_items(write, itertools.repeat(""), value, "[]", nl, node_type, node_json)
     else:
         write(json_scalar(value))
 
 
-def _write_json_items(write, keys, items, brackets: str, nl: str, formats: Mapping) -> None:
+def _write_json_items(write, keys, items, brackets: str, nl: str, node_type, node_json) -> None:
     """An object's or an array's ``items``, each after its key (``""`` in an
     array); an object or array of scalars is one string."""
     if not items:
         write(brackets)
         return
     inner = nl + "  "
-    if any(t in formats or issubclass(t, (dict, list, tuple)) for t in set(map(type, items))):
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, items))):
         sep = brackets[0] + inner
         for key, item in zip(keys, items):
             write(sep + key)
-            _write_json_value(write, item, inner, formats)
+            _write_json_value(write, item, inner, node_type, node_json)
             sep = "," + inner
         write(nl + brackets[1])
     else:
@@ -285,16 +284,19 @@ def _write_json_items(write, keys, items, brackets: str, nl: str, formats: Mappi
 
 
 def write_json(
-    path, payload, formats: Mapping[type, Callable[[object, str], str]] | None = None
+    path,
+    payload,
+    node_type: type[tuple] | None = None,
+    node_json: Callable[[tuple, str], str] | None = None,
 ) -> None:
     """Stream ``payload`` to ``path`` byte for byte as
     ``json.dump(payload, fh, indent=2, allow_nan=False)`` plus a trailing
     newline would; floats keep their shortest repr, so a reload reproduces
-    them exactly. ``formats`` maps a type to the JSON text of an instance
-    that starts a line at its second argument (a newline and the
-    indentation); it takes precedence over the array form of tuples."""
+    them exactly. An instance of the tuple class ``node_type`` (a tree node)
+    is written as ``node_json(node, nl)``, its JSON text starting a line at
+    ``nl`` (a newline and the indentation), instead of as an array."""
     with Path(path).open("w", newline="") as fh:
-        _write_json_value(fh.write, payload, "\n", formats or {})
+        _write_json_value(fh.write, payload, "\n", node_type, node_json)
         fh.write("\n")
 
 

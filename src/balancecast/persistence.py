@@ -62,10 +62,20 @@ def _blocks_from_dict(doc: dict, config_type: type) -> dict:
     }
 
 
+def tree_to_dict(node: gbt.TreeNode) -> dict:
+    if node.is_leaf:
+        return {"weight": node.weight}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": tree_to_dict(node.left),
+        "right": tree_to_dict(node.right),
+    }
+
+
 def _tree_json(node: gbt.TreeNode, nl: str) -> str:
-    """The JSON text of ``node``'s dict form, ``{"weight": w}`` or
-    ``{"feature": f, "threshold": t, "left": ..., "right": ...}``, as
-    write_json lays it out at the line start ``nl``; one string per node."""
+    """The JSON text of ``tree_to_dict(node)`` as write_json lays it out at
+    the line start ``nl``; one string per node."""
     inner = nl + "  "
     if node.weight is not None:
         return f'{{{inner}"weight": {json_scalar(node.weight)}{nl}}}'
@@ -92,32 +102,26 @@ def _finite_array(values) -> np.ndarray:
 def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
     """A tree whose splits use features ``0 .. n_features - 1``; a bad index, or
     a threshold or weight that is not a finite JSON number, raises SchemaError."""
-    node, isfinite = gbt.TreeNode, math.isfinite
-
-    def decode(doc) -> gbt.TreeNode:
-        # The float checks inline _finite's common case; _finite converts an
-        # int and raises for anything else.
-        if "weight" in doc:
-            weight = doc["weight"]
-            return node(weight if type(weight) is float and isfinite(weight) else _finite(weight))
-        feature, threshold = doc["feature"], doc["threshold"]
-        if type(threshold) is not float or not isfinite(threshold):
-            threshold = _finite(threshold)
-        if type(feature) is not int or not 0 <= feature < n_features:
-            raise SchemaError(f"bad split on feature {feature!r} of {n_features} at {threshold!r}")
-        return node(None, feature, threshold, decode(doc["left"]), decode(doc["right"]))
-
-    return decode(doc)
+    if "weight" in doc:
+        return gbt.TreeNode(_finite(doc["weight"]))
+    feature, threshold = doc["feature"], _finite(doc["threshold"])
+    if type(feature) is not int or not 0 <= feature < n_features:
+        raise SchemaError(f"bad split on feature {feature!r} of {n_features} at {threshold!r}")
+    left, right = tree_from_dict(doc["left"], n_features), tree_from_dict(doc["right"], n_features)
+    return gbt.TreeNode(None, feature, threshold, left, right)
 
 
-def gbt_to_dict(m: gbt.GbtModel) -> dict:
-    """The model's document; its trees stay TreeNodes, which save_model
-    writes in their dict form without building it."""
+def _gbt_doc(m: gbt.GbtModel, tree: Callable) -> dict:
+    """The model's document with each tree as ``tree(node)``."""
     return {
         "base_score": m.base_score,
         **_blocks(m),
-        "trees": list(m.trees),
+        "trees": [tree(t) for t in m.trees],
     }
+
+
+def gbt_to_dict(m: gbt.GbtModel) -> dict:
+    return _gbt_doc(m, tree_to_dict)
 
 
 def gbt_from_dict(doc: dict) -> gbt.GbtModel:
@@ -172,8 +176,12 @@ def ebm_from_dict(doc: dict) -> ebm.EbmModel:
     )
 
 
+def _stacked_doc(m: stacking.StackedModel, tree: Callable) -> dict:
+    return {"base": ebm_to_dict(m.base), "meta": _gbt_doc(m.meta, tree)}
+
+
 def stacked_to_dict(m: stacking.StackedModel) -> dict:
-    return {"base": ebm_to_dict(m.base), "meta": gbt_to_dict(m.meta)}
+    return _stacked_doc(m, tree_to_dict)
 
 
 def stacked_from_dict(doc: dict) -> stacking.StackedModel:
@@ -253,12 +261,19 @@ KINDS = {
 }
 
 
+_TREE_DOCS = {"gbt": _gbt_doc, "stacked": _stacked_doc}
+
+
 def save_model(model, horizon_steps: int, path) -> None:
     kind = next((k for k in KINDS.values() if isinstance(model, k.model_type)), None)
     if kind is None:
         raise UnsupportedModelError(f"cannot persist {type(model).__name__}")
-    doc = {"kind": kind.name, "horizon_steps": int(horizon_steps), "model": kind.to_dict(model)}
-    write_json(path, doc, {gbt.TreeNode: _tree_json})
+    # A document that holds trees keeps them as TreeNodes, which write_json
+    # formats one string per node without building their dicts.
+    tree_doc = _TREE_DOCS.get(kind.name)
+    body = kind.to_dict(model) if tree_doc is None else tree_doc(model, lambda node: node)
+    doc = {"kind": kind.name, "horizon_steps": int(horizon_steps), "model": body}
+    write_json(path, doc, gbt.TreeNode, _tree_json)
 
 
 def load_model(path):

@@ -5,6 +5,7 @@ import pytest
 
 from balancecast import SyntheticConfig, TreeNode, align_horizon, generate_synthetic
 from balancecast.gbt import _score
+from balancecast.persistence import tree_to_dict
 
 # Noise-free single-nonlinear-driver series: shape recovery and attribution.
 CLEAN_CFG = SyntheticConfig(
@@ -63,18 +64,6 @@ def tree_depth(node):
     if node.is_leaf:
         return 0
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
-def tree_to_dict(node):
-    """The dict form of a tree that model files hold."""
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
 
 
 def plain_json(value):

@@ -24,9 +24,9 @@ from balancecast import (
     leaf_weight,
 )
 from balancecast.data import SyntheticConfig, align_horizon, generate_synthetic
-from balancecast.persistence import save_model
+from balancecast.persistence import save_model, tree_to_dict
 
-from conftest import plain_json, split_gain, tree_depth, tree_predict, tree_to_dict
+from conftest import split_gain, tree_depth, tree_predict
 
 
 def schema_for(p):
@@ -541,7 +541,7 @@ class TestGbtPersistence:
     def test_round_trip_exact(self, aligned_spiky):
         sub = aligned_spiky.slice_rows(0, 250)
         m = gbt_train(sub, GbtConfig(n_trees=5, max_depth=4))
-        doc = json.loads(json.dumps(plain_json(gbt_to_dict(m))))
+        doc = json.loads(json.dumps(gbt_to_dict(m)))
         back = gbt_from_dict(doc)
         assert back.base_score == m.base_score
         assert back.config == m.config

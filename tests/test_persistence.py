@@ -61,6 +61,17 @@ def test_registry_round_trip_predicts_bit_identically(kind, tiny_data, tmp_path)
     assert "kinds" not in path.read_text()
 
 
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_to_dict_is_plain_json_that_from_dict_reads(kind, tiny_data):
+    spec = KINDS[kind]
+    model = spec.train(tiny_data, TINY[kind])
+    doc = spec.to_dict(model)
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc  # no tuples, no TreeNodes
+    rows = slice(8, tiny_data.n_rows)
+    for back in (spec.from_dict(doc), spec.from_dict(json.loads(json.dumps(doc)))):
+        assert np.array_equal(spec.predict(back, tiny_data, rows), spec.predict(model, tiny_data, rows))
+
+
 def _legacy_stacked_file(path):
     """A stacked model file as written when configs still had a seed field
     and schemas a list of kind tags."""
@@ -196,7 +207,6 @@ def test_save_model_writes_what_json_dump_writes(kind, tiny_data, tmp_path):
     assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
-TREE_FORMAT = {TreeNode: _tree_json}
 FLOATS = (
     st.floats()
     | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
@@ -236,9 +246,9 @@ def test_writer_writes_what_json_dumps_writes(json_path, payload):
         expected = json.dumps(plain_json(payload), indent=2, allow_nan=False) + "\n"
     except ValueError:
         with pytest.raises(ValueError):
-            write_json(json_path, payload, TREE_FORMAT)
+            write_json(json_path, payload, TreeNode, _tree_json)
         return
-    write_json(json_path, payload, TREE_FORMAT)
+    write_json(json_path, payload, TreeNode, _tree_json)
     assert json_path.read_bytes() == expected.encode()
 
 
@@ -258,7 +268,7 @@ def test_writer_rejects_nan_and_infinities(json_path, payload):
     with pytest.raises(ValueError):
         json.dumps(plain_json(payload), allow_nan=False)
     with pytest.raises(ValueError):
-        write_json(json_path, payload, TREE_FORMAT)
+        write_json(json_path, payload, TreeNode, _tree_json)
 
 
 def _gbt_file(path, tree):

@@ -19,8 +19,6 @@ from balancecast import (
     stacked_train,
 )
 
-from conftest import plain_json
-
 
 def dataset_for(features, target):
     features = np.asarray(features, dtype=np.float64)
@@ -161,7 +159,7 @@ class TestStackedPersistence:
             EbmConfig(outer_rounds=8, learning_rate=0.3, max_bins=16),
             GbtConfig(n_trees=4, max_depth=3),
         )
-        doc = json.loads(json.dumps(plain_json(stacked_to_dict(m))))
+        doc = json.loads(json.dumps(stacked_to_dict(m)))
         back = stacked_from_dict(doc)
         assert np.array_equal(
             stacked_predict_batch(back, sub.features),
