@@ -230,74 +230,14 @@ def write_csv_lines(path, header: list[str], lines) -> None:
         fh.writelines(lines)
 
 
-def json_scalar(value) -> str:
-    """``value`` as json writes a float (via ``float.__repr__``), str, None,
-    bool or int. NaN and the infinities raise ValueError, as json does with
-    ``allow_nan=False``, and any other type raises TypeError."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    if value is None or isinstance(value, (str, bool)):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    # json turns a number, bool or None key into its text, then quotes it.
-    return json.dumps(key if isinstance(key, str) else json_scalar(key))
-
-
-def _write_json_value(write, value, nl: str, node_type, node_json) -> None:
-    """Write ``value`` as ``json.dump(..., indent=2)`` lays it out when it
-    starts a line at ``nl``, a newline and its indentation."""
-    if type(value) is node_type:
-        write(node_json(value, nl))
-    elif isinstance(value, dict):
-        keys = [_json_key(k) + ": " for k in value]
-        _write_json_items(write, keys, value.values(), "{}", nl, node_type, node_json)
-    elif isinstance(value, (list, tuple)):
-        _write_json_items(write, itertools.repeat(""), value, "[]", nl, node_type, node_json)
-    else:
-        write(json_scalar(value))
-
-
-def _write_json_items(write, keys, items, brackets: str, nl: str, node_type, node_json) -> None:
-    """An object's or an array's ``items``, each after its key (``""`` in an
-    array); an object or array of scalars is one string."""
-    if not items:
-        write(brackets)
-        return
-    inner = nl + "  "
-    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, items))):
-        sep = brackets[0] + inner
-        for key, item in zip(keys, items):
-            write(sep + key)
-            _write_json_value(write, item, inner, node_type, node_json)
-            sep = "," + inner
-        write(nl + brackets[1])
-    else:
-        texts = map(str.__add__, keys, map(json_scalar, items))
-        write(brackets[0] + inner + ("," + inner).join(texts) + nl + brackets[1])
-
-
-def write_json(
-    path,
-    payload,
-    node_type: type[tuple] | None = None,
-    node_json: Callable[[tuple, str], str] | None = None,
-) -> None:
-    """Stream ``payload`` to ``path`` byte for byte as
-    ``json.dump(payload, fh, indent=2, allow_nan=False)`` plus a trailing
-    newline would; floats keep their shortest repr, so a reload reproduces
-    them exactly. An instance of the tuple class ``node_type`` (a tree node)
-    is written as ``node_json(node, nl)``, its JSON text starting a line at
-    ``nl`` (a newline and the indentation), instead of as an array."""
-    with Path(path).open("w", newline="") as fh:
-        _write_json_value(fh.write, payload, "\n", node_type, node_json)
-        fh.write("\n")
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as ``json.dumps(payload, allow_nan=False)``
+    plus a newline: one line, floats in their shortest repr, so a reload
+    reproduces them exactly. The whole text is encoded before the file is
+    opened, so a NaN or an infinity raises ValueError and leaves any file
+    already at ``path`` as it was."""
+    text = json.dumps(payload, allow_nan=False) + "\n"
+    Path(path).write_text(text, newline="")
 
 
 def save_csv(d: Dataset, path) -> None:
@@ -557,15 +497,15 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_rows < 1:
             raise InvalidArgumentError(f"n_rows must be >= 1, got {self.n_rows}")
-        if self.noise_sd < 0:
-            raise InvalidArgumentError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise InvalidArgumentError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if not 0.0 <= self.spike_prob <= 1.0:
             raise InvalidArgumentError(
                 f"spike_prob must be in [0, 1], got {self.spike_prob}"
             )
-        if self.spike_scale <= 0:
+        if not (math.isfinite(self.spike_scale) and self.spike_scale > 0):
             raise InvalidArgumentError(
-                f"spike_scale must be > 0, got {self.spike_scale}"
+                f"spike_scale must be finite and > 0, got {self.spike_scale}"
             )
 
 

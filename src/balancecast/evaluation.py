@@ -15,6 +15,7 @@ without one cannot be evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -101,6 +102,11 @@ def expanding_window_folds(n: int, initial_train: int, test_len: int) -> list[Fo
     return folds
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 def filter_deviation_events(y, y_hat, spot, epsilon: float):
     """Keep only the rows where the price deviates from spot by more than
     ``epsilon``; returns (y_kept, y_hat_kept, n_orig, n_filter)."""
@@ -109,8 +115,7 @@ def filter_deviation_events(y, y_hat, spot, epsilon: float):
     spot = np.asarray(spot, dtype=np.float64)
     if not (y.shape == y_hat.shape == spot.shape):
         raise InvalidArgumentError("y, y_hat, and spot must have equal lengths")
-    if epsilon < 0:
-        raise InvalidArgumentError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     keep = np.abs(spot - y) > epsilon
     return y[keep], y_hat[keep], int(len(y)), int(keep.sum())
 
@@ -237,8 +242,10 @@ def evaluate(
     Emits two rows per model: unfiltered metrics over the pooled test
     predictions, and metrics restricted to deviation events. The report
     also carries the pooled segment and each model's pooled predictions.
-    A dataset without a ``spot`` feature raises SchemaError before any fit.
+    A dataset without a ``spot`` feature, a fold past its end or an
+    ``epsilon`` that is not finite and >= 0 raises before any fit.
     """
+    _check_epsilon(epsilon)
     for fold in folds:
         if fold.test_end > d.n_rows:
             raise InvalidArgumentError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ebm, gbt, stacking
 from .baseline import NaiveModel, naive_forecast
-from .data import FeatureSchema, json_scalar, write_json
+from .data import FeatureSchema, write_json
 from .errors import SchemaError, UnsupportedModelError
 
 
@@ -73,20 +73,6 @@ def tree_to_dict(node: gbt.TreeNode) -> dict:
     }
 
 
-def _tree_json(node: gbt.TreeNode, nl: str) -> str:
-    """The JSON text of ``tree_to_dict(node)`` as write_json lays it out at
-    the line start ``nl``; one string per node."""
-    inner = nl + "  "
-    if node.weight is not None:
-        return f'{{{inner}"weight": {json_scalar(node.weight)}{nl}}}'
-    return (
-        f'{{{inner}"feature": {json_scalar(node.feature)},'
-        f'{inner}"threshold": {json_scalar(node.threshold)},'
-        f'{inner}"left": {_tree_json(node.left, inner)},'
-        f'{inner}"right": {_tree_json(node.right, inner)}{nl}}}'
-    )
-
-
 def _finite(value) -> float:
     """A finite JSON number as a float; a string, a bool, NaN or an
     infinity raises SchemaError."""
@@ -111,17 +97,12 @@ def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
     return gbt.TreeNode(None, feature, threshold, left, right)
 
 
-def _gbt_doc(m: gbt.GbtModel, tree: Callable) -> dict:
-    """The model's document with each tree as ``tree(node)``."""
+def gbt_to_dict(m: gbt.GbtModel) -> dict:
     return {
         "base_score": m.base_score,
         **_blocks(m),
-        "trees": [tree(t) for t in m.trees],
+        "trees": [tree_to_dict(t) for t in m.trees],
     }
-
-
-def gbt_to_dict(m: gbt.GbtModel) -> dict:
-    return _gbt_doc(m, tree_to_dict)
 
 
 def gbt_from_dict(doc: dict) -> gbt.GbtModel:
@@ -176,12 +157,8 @@ def ebm_from_dict(doc: dict) -> ebm.EbmModel:
     )
 
 
-def _stacked_doc(m: stacking.StackedModel, tree: Callable) -> dict:
-    return {"base": ebm_to_dict(m.base), "meta": _gbt_doc(m.meta, tree)}
-
-
 def stacked_to_dict(m: stacking.StackedModel) -> dict:
-    return _stacked_doc(m, tree_to_dict)
+    return {"base": ebm_to_dict(m.base), "meta": gbt_to_dict(m.meta)}
 
 
 def stacked_from_dict(doc: dict) -> stacking.StackedModel:
@@ -261,19 +238,12 @@ KINDS = {
 }
 
 
-_TREE_DOCS = {"gbt": _gbt_doc, "stacked": _stacked_doc}
-
-
 def save_model(model, horizon_steps: int, path) -> None:
     kind = next((k for k in KINDS.values() if isinstance(model, k.model_type)), None)
     if kind is None:
         raise UnsupportedModelError(f"cannot persist {type(model).__name__}")
-    # A document that holds trees keeps them as TreeNodes, which write_json
-    # formats one string per node without building their dicts.
-    tree_doc = _TREE_DOCS.get(kind.name)
-    body = kind.to_dict(model) if tree_doc is None else tree_doc(model, lambda node: node)
-    doc = {"kind": kind.name, "horizon_steps": int(horizon_steps), "model": body}
-    write_json(path, doc, gbt.TreeNode, _tree_json)
+    doc = {"kind": kind.name, "horizon_steps": int(horizon_steps), "model": kind.to_dict(model)}
+    write_json(path, doc)
 
 
 def load_model(path):

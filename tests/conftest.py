@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
-from balancecast import SyntheticConfig, TreeNode, align_horizon, generate_synthetic
+from balancecast import SyntheticConfig, align_horizon, generate_synthetic
 from balancecast.gbt import _score
-from balancecast.persistence import tree_to_dict
 
 # Noise-free single-nonlinear-driver series: shape recovery and attribution.
 CLEAN_CFG = SyntheticConfig(
@@ -64,25 +61,6 @@ def tree_depth(node):
     if node.is_leaf:
         return 0
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
-def plain_json(value):
-    """``value`` with every TreeNode in its dict form, so json can encode it."""
-    if isinstance(value, TreeNode):
-        return tree_to_dict(value)
-    if isinstance(value, dict):
-        return {k: plain_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plain_json(v) for v in value]
-    return value
-
-
-def reference_write_json(path, payload):
-    """The JSON file writer as json.dump: what ``data.write_json``, given the
-    tree format of ``save_model``, must write byte for byte."""
-    with open(path, "w", newline="") as fh:
-        json.dump(plain_json(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
 
 
 def apply_shape_table(table, value):

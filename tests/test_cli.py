@@ -1088,6 +1088,46 @@ class TestNonFiniteGbtHyperparameters:
         assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
+class TestNonFiniteSynthConfig:
+    """NaN and infinite noise_sd and spike_scale are usage errors (exit 2),
+    as flags and from a config file, and synth writes nothing."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["noise_sd", "spike_scale"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, where, name, value):
+        out = tmp_path / "out"
+        argv = ["synth", "--n-rows", "50", "--spike-prob", "0", "--out", str(out)]
+        if where == "flag":
+            argv.append(f"--{name.replace('_', '-')}={value}")  # = keeps -inf a value
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: float(value)}))  # NaN, Infinity
+            argv += ["--config", str(cfg)]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad synth config" in err
+        assert not out.exists()
+
+
+class TestBadEpsilon:
+    @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+    def test_exits_3_before_any_fit(self, data_dir, tmp_path, capsys, monkeypatch, eps):
+        def never(*args, **kwargs):
+            raise AssertionError("gbt_train called")
+
+        monkeypatch.setattr(gbt, "gbt_train", never)
+        out = tmp_path / "e"
+        code = run(
+            "evaluate", "--data", str(data_dir / "dataset.csv"), "--models", "naive,gbt",
+            "--initial-train", "400", "--test-len", "134", "--epsilon", eps, "--out", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epsilon must be finite and >= 0" in err
+        assert not (out / "report.csv").exists()
+
+
 class TestHorizonStepsMustBeAnInteger:
     @pytest.fixture(scope="class")
     def model_docs(self, data_dir, tmp_path_factory):

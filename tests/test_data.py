@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -716,6 +717,12 @@ class TestGenerateSynthetic:
             SyntheticConfig(spike_prob=1.5)
         with pytest.raises(InvalidArgumentError):
             SyntheticConfig(spike_scale=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["noise_sd", "spike_scale"])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+            SyntheticConfig(**{name: value})
 
     def test_cyclical_columns_consistent(self):
         d, _ = generate_synthetic(SyntheticConfig(n_rows=96, seed=2, noise_sd=0.0))

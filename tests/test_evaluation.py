@@ -196,6 +196,11 @@ class TestFilterDeviationEvents:
         with pytest.raises(InvalidArgumentError):
             filter_deviation_events([1.0], [1.0, 2.0], [1.0], 0.0)
 
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_epsilon_must_be_finite_and_non_negative(self, eps):
+        with pytest.raises(InvalidArgumentError, match="epsilon"):
+            filter_deviation_events([1.0], [1.0], [1.0], eps)
+
 
 def tiny_dataset(n=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -273,6 +278,15 @@ class TestEvaluate:
             report = evaluate([mean_spec()], d, folds, epsilon=eps)
             kept.append(report.rows[1].n_filter)
         assert all(a >= b for a, b in zip(kept, kept[1:]))
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_bad_epsilon_rejected_before_any_fit(self, eps):
+        def fit(train, fitted):
+            raise AssertionError("fit called")
+
+        d = tiny_dataset(n=30)
+        with pytest.raises(InvalidArgumentError, match="epsilon"):
+            evaluate([ModelSpec("never", fit)], d, [FoldSpec(10, 10, 20)], epsilon=eps)
 
     def test_fold_out_of_range_rejected(self):
         d = tiny_dataset(n=30)

@@ -1,10 +1,9 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from balancecast import (
     KINDS,
@@ -19,10 +18,7 @@ from balancecast import (
     save_model,
     stacked_predict_batch,
 )
-from balancecast.data import write_json
-from balancecast.persistence import _tree_json
-
-from conftest import plain_json, reference_write_json
+from balancecast.data import save_truth_json, truth_table, write_json
 
 # The smallest training config per registered kind; a kind added to KINDS
 # without an entry here fails test_every_kind_has_a_case.
@@ -203,53 +199,63 @@ def test_save_model_writes_what_json_dump_writes(kind, tiny_data, tmp_path):
     model = KINDS[kind].train(tiny_data, TINY[kind])
     save_model(model, 8, tmp_path / "model.json")
     doc = {"kind": kind, "horizon_steps": 8, "model": KINDS[kind].to_dict(model)}
-    reference_write_json(tmp_path / "reference.json", doc)
-    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    expected = json.dumps(doc, allow_nan=False) + "\n"
+    assert (tmp_path / "model.json").read_bytes() == expected.encode()
 
 
-FLOATS = (
-    st.floats()
-    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
-    | st.floats().map(np.float64)
+def test_save_truth_json_writes_what_json_dumps_writes(tmp_path):
+    d, truth = generate_synthetic(SyntheticConfig(n_rows=300, seed=21))
+    save_truth_json(truth, d, tmp_path / "truth.json")
+    table = {name: [[v, c] for v, c in pairs] for name, pairs in truth_table(truth, d).items()}
+    expected = json.dumps(table, allow_nan=False) + "\n"
+    assert (tmp_path / "truth.json").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_indented_file_loads_and_predicts_bit_identically(kind, tiny_data, tmp_path):
+    """Files written with json.dump(indent=2), as earlier versions did, still load."""
+    spec = KINDS[kind]
+    model = spec.train(tiny_data, TINY[kind])
+    path = tmp_path / "model.json"
+    with path.open("w") as fh:
+        json.dump({"kind": kind, "horizon_steps": 8, "model": spec.to_dict(model)}, fh, indent=2)
+    loaded_kind, horizon, loaded = load_model(path)
+    assert (loaded_kind, horizon) == (kind, 8)
+    rows = slice(8, tiny_data.n_rows)
+    assert np.array_equal(spec.predict(loaded, tiny_data, rows), spec.predict(model, tiny_data, rows))
+
+
+def _last_leaf_weight(model, value):
+    """``model`` (gbt) with the rightmost leaf of its last tree set to ``value``."""
+    def rightmost(node):
+        if node.is_leaf:
+            return node._replace(weight=value)
+        return node._replace(right=rightmost(node.right))
+    return dataclasses.replace(model, trees=(*model.trees[:-1], rightmost(model.trees[-1])))
+
+
+@pytest.mark.parametrize(
+    "kind, spoil",
+    [
+        ("gbt", lambda m: _last_leaf_weight(m, math.nan)),
+        ("gbt", lambda m: _last_leaf_weight(m, math.inf)),
+        ("ebm", lambda m: dataclasses.replace(m, intercept=-math.inf)),
+        ("stacked", lambda m: dataclasses.replace(m, meta=_last_leaf_weight(m.meta, math.nan))),
+    ],
+    ids=["gbt-nan-leaf", "gbt-inf-leaf", "ebm-inf-intercept", "stacked-nan-meta-leaf"],
 )
-TEXT = st.text(st.characters() | st.characters(categories=["Cc", "Cs"]), max_size=6)
-SCALARS = st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200) | FLOATS | TEXT
-TREES = st.recursive(
-    st.builds(lambda w: TreeNode(weight=w), FLOATS | st.integers(-5, 5)),
-    lambda kids: st.builds(
-        lambda f, t, left, right: TreeNode(feature=f, threshold=t, left=left, right=right),
-        st.integers(0, 9), FLOATS, kids, kids,
-    ),
-    max_leaves=6,
-)
-PAYLOADS = st.recursive(
-    SCALARS | TREES,
-    lambda kids: st.lists(kids, max_size=4)
-    | st.lists(kids, max_size=4).map(tuple)
-    | st.dictionaries(TEXT | st.integers() | FLOATS | st.booleans() | st.none(), kids, max_size=4),
-    max_leaves=16,
-)
-
-
-@pytest.fixture(scope="module")
-def json_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("json") / "payload.json"
-
-
-@given(payload=PAYLOADS)
-@settings(max_examples=400, deadline=None)
-def test_writer_writes_what_json_dumps_writes(json_path, payload):
-    """Byte for byte json.dumps(indent=2) of the payload with every TreeNode
-    in its dict form; where json raises ValueError (NaN or an infinity), so
-    does the writer."""
-    try:
-        expected = json.dumps(plain_json(payload), indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        with pytest.raises(ValueError):
-            write_json(json_path, payload, TreeNode, _tree_json)
-        return
-    write_json(json_path, payload, TreeNode, _tree_json)
-    assert json_path.read_bytes() == expected.encode()
+def test_non_finite_model_is_not_saved(kind, spoil, tiny_data, tmp_path):
+    """A NaN or an infinity anywhere in the model raises ValueError before
+    the file is opened: no new file, and an existing one keeps its bytes."""
+    model = spoil(KINDS[kind].train(tiny_data, TINY[kind]))
+    with pytest.raises(ValueError):
+        save_model(model, 8, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b"earlier model\n")
+    with pytest.raises(ValueError):
+        save_model(model, 8, existing)
+    assert existing.read_bytes() == b"earlier model\n"
 
 
 @pytest.mark.parametrize(
@@ -260,15 +266,16 @@ def test_writer_writes_what_json_dumps_writes(json_path, payload):
         {"a": -math.inf},
         {math.nan: 1},
         [[np.float64("nan"), 1]],
-        [TreeNode(weight=math.nan)],
-        {"trees": [TreeNode(feature=0, threshold=math.inf, left=TreeNode(weight=1.0), right=TreeNode(weight=2.0))]},
+        [{"weight": math.nan}],
+        {"trees": [{"feature": 0, "threshold": math.inf, "left": {"weight": 1.0}, "right": {"weight": 2.0}}]},
     ],
 )
-def test_writer_rejects_nan_and_infinities(json_path, payload):
+def test_writer_rejects_nan_and_infinities(tmp_path, payload):
+    json_path = tmp_path / "payload.json"
+    json_path.write_text("{}\n")
     with pytest.raises(ValueError):
-        json.dumps(plain_json(payload), allow_nan=False)
-    with pytest.raises(ValueError):
-        write_json(json_path, payload, TreeNode, _tree_json)
+        write_json(json_path, payload)
+    assert json_path.read_text() == "{}\n"
 
 
 def _gbt_file(path, tree):
