@@ -34,7 +34,7 @@ from .data import (
 )
 from .ebm import EbmConfig, ebm_predict, explain_local, save_global_explanation
 from .errors import BalancecastError, InvalidArgumentError, SchemaError, UnsupportedModelError
-from .evaluation import evaluate, expanding_window_folds, model_spec
+from .evaluation import _check_epsilon, evaluate, expanding_window_folds, model_spec
 from .gbt import GbtConfig
 from .persistence import KINDS, load_model, save_model
 from .stacking import META_GBT_DEFAULTS
@@ -324,6 +324,8 @@ def _backtest(args):
     folds = expanding_window_folds(aligned.n_rows, initial_train, test_len)
     given = {name: getattr(args, name, None) for name in ("epsilon", "label", "direction")}
     options = {name: v for name, v in given.items() if v is not None}
+    if "epsilon" in options:  # before the caller makes its --out directory
+        _check_epsilon(options["epsilon"])
     return aligned, horizon, folds, options
 
 

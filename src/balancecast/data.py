@@ -243,12 +243,18 @@ def write_json(path, payload) -> None:
 def save_csv(d: Dataset, path) -> None:
     """Write ``timestamp,<features...>,target`` rows; floats via repr so a
     reload reproduces every value exactly. Rows are formatted
-    ``_CSV_CHUNK_ROWS`` at a time, so memory stays bounded."""
+    ``_CSV_CHUNK_ROWS`` at a time, so memory stays bounded. Each distinct
+    value of a column is formatted once per chunk, as it would be per cell."""
 
     def chunk(lo: int) -> str:
         rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-        cells = zip(d.timestamps[rows].tolist(), d.features[rows].tolist(), d.target[rows].tolist())
-        return "".join([f"{t},{','.join(map(repr, x))},{y!r}\n" for t, x, y in cells])
+        cols = [map(str, d.timestamps[rows].tolist())]
+        for col in (*d.features[rows].T, d.target[rows]):
+            # Bit patterns as keys keep 0.0 and -0.0 apart.
+            keys, cell_of = np.unique(col.view(np.int64), return_inverse=True)
+            cells = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+            cols.append(cells[cell_of].tolist())
+        return "".join([",".join(row) + "\n" for row in zip(*cols)])
 
     chunks = map(chunk, range(0, d.n_rows, _CSV_CHUNK_ROWS))
     write_csv_lines(path, _expected_header(d.schema), chunks)

@@ -195,16 +195,14 @@ class EvalReport:
             (csv_line(_report_cells(row)) for row in self.rows),
         )
         (out / "report.txt").write_text(self.format_table() + "\n")
-        issued = self.issue_timestamps.tolist()
-        actual = self.actual.tolist()
+        issued, actual = self.issue_timestamps.tolist(), self.actual.tolist()
+        pooled = [f"{issue},{y!r}," for issue, y in zip(issued, actual)]
+        # "<label>," as csv begins a row; csv quotes an empty cell only when alone.
+        labels = [(csv_line([m, ""])[:-1], pool.tolist()) for m, pool in self.predictions.items()]
         write_csv_lines(
             out / "predictions.csv",
             ["model", "issue_timestamp", "actual", "predicted"],
-            (
-                csv_line([model, issue, repr(y), repr(pred)])
-                for model, pred_pool in self.predictions.items()
-                for issue, y, pred in zip(issued, actual, pred_pool.tolist())
-            ),
+            (f"{label}{row}{p!r}\n" for label, preds in labels for row, p in zip(pooled, preds)),
         )
 
     def format_table(self) -> str:

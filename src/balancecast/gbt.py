@@ -99,14 +99,17 @@ class TreeNode(NamedTuple):
         return node.weight
 
 
-def _tree_predict_batch(node: TreeNode, cols: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
-    # cols[f] is feature f of every row: row f of x.T, contiguous.
+def _tree_predict_batch(node: TreeNode, cols: np.ndarray, out: np.ndarray, idx, lr: float) -> None:
+    # cols[f] is feature f of every row: row f of x.T, contiguous. Rows idx of
+    # out get lr times their leaf's weight; idx is ... (every row) at the root,
+    # so the root compares its feature without a gather.
     if node.weight is not None:
-        out[idx] = node.weight
+        out[idx] = lr * node.weight
         return
     mask = cols[node.feature][idx] <= node.threshold
-    _tree_predict_batch(node.left, cols, out, idx[mask])
-    _tree_predict_batch(node.right, cols, out, idx[~mask])
+    rows = np.flatnonzero if idx is ... else idx.__getitem__
+    _tree_predict_batch(node.left, cols, out, rows(mask), lr)
+    _tree_predict_batch(node.right, cols, out, rows(~mask), lr)
 
 
 def _fit_constants(x: np.ndarray, reg_lambda: float) -> tuple:
@@ -293,9 +296,9 @@ def gbt_predict(m: GbtModel, x) -> float:
 
 def gbt_predict_batch(m: GbtModel, x: np.ndarray) -> np.ndarray:
     x = m.schema.check_features(x, 2)
-    cols, rows, out = np.ascontiguousarray(x.T), np.arange(x.shape[0]), np.empty(x.shape[0])
+    cols, out, lr = np.ascontiguousarray(x.T), np.empty(x.shape[0]), m.config.learning_rate
     acc = np.full(x.shape[0], m.base_score)
     for tree in m.trees:
-        _tree_predict_batch(tree, cols, out, rows)
-        acc += m.config.learning_rate * out
+        _tree_predict_batch(tree, cols, out, ..., lr)
+        acc += out
     return acc

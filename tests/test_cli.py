@@ -1113,19 +1113,31 @@ class TestNonFiniteSynthConfig:
 class TestBadEpsilon:
     @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
     def test_exits_3_before_any_fit(self, data_dir, tmp_path, capsys, monkeypatch, eps):
+        self.assert_rejected(
+            data_dir, tmp_path, capsys, monkeypatch, eps, "evaluate", "--models", "naive,gbt"
+        )
+
+    @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+    def test_grid_exits_3_before_any_fit(self, data_dir, tmp_path, capsys, monkeypatch, eps):
+        self.assert_rejected(
+            data_dir, tmp_path, capsys, monkeypatch, eps, "grid", "--model", "gbt", "--param", "n_trees=2,3"
+        )
+
+    @staticmethod
+    def assert_rejected(data_dir, tmp_path, capsys, monkeypatch, eps, *command):
         def never(*args, **kwargs):
             raise AssertionError("gbt_train called")
 
         monkeypatch.setattr(gbt, "gbt_train", never)
         out = tmp_path / "e"
         code = run(
-            "evaluate", "--data", str(data_dir / "dataset.csv"), "--models", "naive,gbt",
+            *command, "--data", str(data_dir / "dataset.csv"),
             "--initial-train", "400", "--test-len", "134", "--epsilon", eps, "--out", str(out),
         )
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "epsilon must be finite and >= 0" in err
-        assert not (out / "report.csv").exists()
+        assert not out.exists()
 
 
 class TestHorizonStepsMustBeAnInteger:

@@ -408,6 +408,10 @@ SPECIAL_FLOATS = st.one_of(
     st.integers(-(2**60), 2**60).map(float),
 )
 
+# A few doubles, so that a column repeats values: both zeros, the smallest
+# subnormal, extreme magnitudes and ordinary values.
+REPEATED_POOL = [0.0, -0.0, 5e-324, 1e16, 1e300, 1.5, -2.75, 0.1]
+
 
 def csv_file(path, n_rows, edits=None):
     """A gap-free csv of ``n_rows`` rows of ``small_schema()``; ``edits``
@@ -471,6 +475,28 @@ class TestCsvAgainstReference:
     def test_bytes_match_reference_in_3_row_chunks(self, tmp_path_factory, p, cells, start):
         with mock.patch.object(data, "_CSV_CHUNK_ROWS", 3):
             self.assert_saves_like_reference(tmp_path_factory, p, cells, start)
+
+    @pytest.mark.parametrize("chunk_rows", [3, 1024])
+    @given(
+        p=st.integers(1, 3),
+        cells=st.lists(st.sampled_from(REPEATED_POOL), min_size=4, max_size=80),
+        start=SAVED_DATASETS["start"],
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_values_match_reference(self, tmp_path_factory, chunk_rows, p, cells, start):
+        with mock.patch.object(data, "_CSV_CHUNK_ROWS", chunk_rows):
+            self.assert_saves_like_reference(tmp_path_factory, p, cells, start)
+
+    @pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 2049])
+    def test_repeated_values_at_chunk_edges(self, tmp_path_factory, n_rows):
+        cells = np.random.default_rng(n_rows).choice(REPEATED_POOL, 4 * n_rows)
+        self.assert_saves_like_reference(tmp_path_factory, 3, cells.tolist(), -n_rows)
+
+    def test_synthetic_file_matches_reference(self, tmp_path):
+        d, _ = generate_synthetic(SyntheticConfig(n_rows=3000))
+        save_csv(d, tmp_path / "new.csv")
+        reference_save_csv(d, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @staticmethod
     def assert_saves_like_reference(tmp_path_factory, p, cells, start):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from balancecast import (
     Dataset,
     EbmConfig,
+    EvalReport,
     FeatureSchema,
     FoldSpec,
     GbtConfig,
@@ -417,6 +419,24 @@ class TestEvalReportOutput:
             )
         ]
         assert lines[1:] == expected
+
+    @pytest.mark.parametrize("labels", [["mean", "oracle"], ["", "a,b", 'q"t', "line\nbreak", "cr\r"]])
+    def test_predictions_csv_matches_a_csv_writer(self, tmp_path, labels):
+        actual = np.array([1.5, -0.0, 0.0, 5e-324, 1e16, 0.1])
+        report = EvalReport(
+            issue_timestamps=np.arange(-3, 3),
+            actual=actual,
+            predictions={label: actual[::-1] * i for i, label in enumerate(labels)},
+        )
+        report.save(tmp_path)
+        with (tmp_path / "expected.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["model", "issue_timestamp", "actual", "predicted"])
+            for label, pred_pool in report.predictions.items():
+                for t, y, p in zip(range(-3, 3), actual.tolist(), pred_pool.tolist()):
+                    writer.writerow([label, t, repr(y), repr(p)])
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "predictions.csv").read_bytes() == expected
 
     def test_removal_percentage_exact(self):
         d = tiny_dataset(n=40, seed=2)

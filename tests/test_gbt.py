@@ -510,6 +510,32 @@ class TestGbtPredict:
         )
         assert gbt_predict(m, [0.0]) == 11.0
 
+    @pytest.mark.parametrize("layout", ["leaf", "leaf,split", "split,leaf,split"])
+    def test_batch_with_single_leaf_trees_and_nan_inputs(self, layout):
+        leaf = TreeNode(weight=2.0)
+        split = TreeNode(
+            feature=0, threshold=0.5, left=TreeNode(weight=1.25),
+            right=TreeNode(feature=1, threshold=-1.0, left=TreeNode(weight=-3.0), right=TreeNode(weight=0.1)),
+        )
+        nan = math.nan
+        rows = np.array([[0.0, 0.0], [1.0, -2.0], [nan, 0.0], [0.0, nan], [1.0, nan], [nan, nan]])
+        # The weight each row reaches in each tree: NaN compares false and goes right.
+        reached = {"leaf": [2.0] * 6, "split": [1.25, -3.0, 0.1, 1.25, 0.1, 0.1]}
+        kinds = layout.split(",")
+        m = GbtModel(
+            trees=tuple(leaf if k == "leaf" else split for k in kinds),
+            base_score=10.1,
+            config=GbtConfig(learning_rate=0.3),
+            schema=schema_for(2),
+        )
+        expected = []
+        for i in range(len(rows)):
+            acc = 10.1
+            for k in kinds:
+                acc += 0.3 * reached[k][i]
+            expected.append(acc)
+        assert np.array_equal(bits(gbt_predict_batch(m, rows)), bits(expected))
+
     def test_dimension_mismatch(self):
         m = GbtModel(
             trees=(), base_score=0.0, config=GbtConfig(), schema=schema_for(2)
