@@ -21,12 +21,16 @@ dropped. Each node scores the rest at once with gradient prefix sums along
 the rows; the Hessian sums on either side of a candidate are row counts, so
 ``min_child_weight`` is a range of candidate positions, and a child that
 must be a leaf (at max_depth, or one row) gets no blocks. Splits and batch
-predictions read each feature as one contiguous row of x.T."""
+predictions read each feature as one contiguous row of x.T. Batch prediction
+scores each tree of at most 64 leaves by bitvectors over per-feature threshold
+codes (QuickScorer); a larger tree partitions its rows first."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import and_
 from typing import NamedTuple
 
 import numpy as np
@@ -99,17 +103,58 @@ class TreeNode(NamedTuple):
         return node.weight
 
 
-def _tree_predict_batch(node: TreeNode, cols: np.ndarray, out: np.ndarray, idx, lr: float) -> None:
-    # cols[f] is feature f of every row: row f of x.T, contiguous. Rows idx of
-    # out get lr times their leaf's weight; idx is ... (every row) at the root,
-    # so the root compares its feature without a gather.
+# Leaves per uint64 bitvector, all its bits, and the float 2.0**k's exponent field less k.
+_WORD, _ALL, _BIAS = 64, 2**64 - 1, 1023
+
+
+def _layout(node: TreeNode, lr: float, outputs: list, nodes: list, thresholds: dict) -> None:
+    """Append lr times each leaf weight under ``node`` to ``outputs``, left to
+    right, and its splits to ``nodes`` in pre-order as (feature, threshold, bits
+    of its left leaves, its first right leaf), each threshold to ``thresholds``
+    under its feature."""
     if node.weight is not None:
-        out[idx] = lr * node.weight
+        outputs.append(lr * node.weight)
         return
-    mask = cols[node.feature][idx] <= node.threshold
-    rows = np.flatnonzero if idx is ... else idx.__getitem__
-    _tree_predict_batch(node.left, cols, out, rows(mask), lr)
-    _tree_predict_batch(node.right, cols, out, rows(~mask), lr)
+    if node.threshold != node.threshold:  # NaN: every row goes right
+        return _layout(node.right, lr, outputs, nodes, thresholds)
+    at, first = len(nodes), len(outputs)
+    nodes.append(None)
+    thresholds.setdefault(node.feature, []).append(node.threshold)
+    _layout(node.left, lr, outputs, nodes, thresholds)
+    mid = len(outputs)
+    nodes[at] = (node.feature, node.threshold, (1 << mid) - (1 << first), mid)
+    _layout(node.right, lr, outputs, nodes, thresholds)
+
+
+def _score_tree(leaves, nodes, i, lo, hi, codes, cols, acc, rows) -> None:
+    """Add to ``acc[rows]`` (``rows`` is ... for every row) the outputs of the
+    leaves lo .. hi-1 that the rows reach below ``nodes[i]``; leaf k's is
+    ``leaves[_BIAS + k]``. Up to _WORD leaves this is QuickScorer (Lucchese et
+    al., SIGIR 2015): each test a row fails clears its node's left leaves from
+    the row's bits, the lowest bit left is the exit leaf, and the tests failed
+    on a feature, a prefix in threshold order, are one table entry. More
+    leaves partition rows first."""
+    if hi - lo == 1:
+        acc[rows] += leaves[_BIAS + lo]
+    elif hi - lo > _WORD:
+        feature, threshold, _, mid = nodes[i]
+        mask = cols[feature][rows] <= threshold
+        pick = np.flatnonzero if rows is ... else rows.__getitem__
+        # A subtree of k leaves has k - 1 internal nodes, in pre-order.
+        _score_tree(leaves, nodes, i + 1, lo, mid, codes, cols, acc, pick(mask))
+        _score_tree(leaves, nodes, i + mid - lo, mid, hi, codes, cols, acc, pick(~mask))
+    else:
+        tests, bits = {}, None
+        for feature, threshold, left, _ in nodes[i : i + hi - lo - 1]:
+            tests.setdefault(feature, []).append((threshold, _ALL ^ (left >> lo)))
+        for feature, pairs in tests.items():
+            reps, inv = codes[feature]
+            thresholds, clears = zip(*sorted(pairs))
+            table = np.array([*accumulate(clears, and_, initial=_ALL)], dtype=np.uint64)
+            row_bits = table[np.array(thresholds).searchsorted(reps)].take(inv if rows is ... else inv[rows])
+            bits = row_bits if bits is None else np.bitwise_and(bits, row_bits, out=bits)
+        bits &= -bits  # the lowest set bit, exact as a float
+        acc[rows] += leaves[lo:].take(bits.astype(np.float64).view(np.int64) >> 52)
 
 
 def _fit_constants(x: np.ndarray, reg_lambda: float) -> tuple:
@@ -288,17 +333,31 @@ def gbt_predict(m: GbtModel, x) -> float:
     """base_score plus the learning-rate-scaled sum of tree outputs."""
     # Python floats compare and add as numpy scalars do, only faster.
     row = m.schema.check_features(x, 1).tolist()
-    acc = m.base_score
-    for tree in m.trees:
-        acc += m.config.learning_rate * tree.predict_row(row)
+    acc, lr = m.base_score, m.config.learning_rate
+    for node in m.trees:
+        while node[0] is None:
+            node = node[3] if row[node[1]] <= node[2] else node[4]
+        acc += lr * node[0]
     return float(acc)
 
 
 def gbt_predict_batch(m: GbtModel, x: np.ndarray) -> np.ndarray:
+    """gbt_predict of every row, bit for bit. A row's code for a feature counts
+    the thresholds of all trees below its value (all of them for NaN); a table
+    has an entry per code present, found by the least threshold not below it."""
     x = m.schema.check_features(x, 2)
-    cols, out, lr = np.ascontiguousarray(x.T), np.empty(x.shape[0]), m.config.learning_rate
+    cols, lr = np.ascontiguousarray(x.T), m.config.learning_rate
+    layouts, thresholds = [([], []) for _ in m.trees], {}
+    for tree, layout in zip(m.trees, layouts):
+        _layout(tree, lr, *layout, thresholds)
+    codes = {}
+    for feature, values in thresholds.items():
+        grid = np.unique(values)
+        code = grid.searchsorted(cols[feature])
+        seen = np.bincount(code, minlength=grid.size + 1) > 0
+        codes[feature] = (np.append(grid, np.nan)[seen], (np.cumsum(seen, dtype=np.intp) - 1)[code])
     acc = np.full(x.shape[0], m.base_score)
-    for tree in m.trees:
-        _tree_predict_batch(tree, cols, out, ..., lr)
-        acc += out
+    for outputs, nodes in layouts:
+        leaves = np.concatenate((np.zeros(_BIAS), outputs))
+        _score_tree(leaves, nodes, 0, 0, len(outputs), codes, cols, acc, ...)
     return acc

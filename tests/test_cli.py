@@ -416,6 +416,45 @@ class TestMalformedModel:
         assert code == 3, stderr
         assert "Traceback" not in stderr and "nested too deeply" in stderr
 
+    def test_tree_980_deep_predicts_the_row_reference(self, data_dir, tmp_path, gbt_doc):
+        # A chain of 980 splits, about as deep as a model file may nest, of
+        # 981 leaves: predict partitions its rows until 64 leaves are left.
+        # The chain zigzags: an even split k sends the rows of spot above
+        # 150 - 0.1 k right to leaf k, an odd one those at or below
+        # -50 + 0.1 k left, so the rows left narrow in on the middle.
+        doc = json.loads(json.dumps(gbt_doc))
+        spot = doc["model"]["schema"]["names"].index("spot")
+        chain, text = gbt.TreeNode(weight=-1.0), '{"weight": -1.0}'
+        for k in reversed(range(980)):
+            leaf, leaf_text = gbt.TreeNode(0.125 * k), f'{{"weight": {0.125 * k!r}}}'
+            if k % 2 == 0:
+                threshold = 150.0 - 0.1 * k
+                chain = gbt.TreeNode(None, spot, threshold, chain, leaf)
+                sides = text, leaf_text
+            else:
+                threshold = -50.0 + 0.1 * k
+                chain = gbt.TreeNode(None, spot, threshold, leaf, chain)
+                sides = leaf_text, text
+            text = '{{"feature": {}, "threshold": {!r}, "left": {}, "right": {}}}'.format(spot, threshold, *sides)
+        doc["model"]["trees"] = ["DEEP"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"DEEP"', text))
+        code, stderr = run_process(
+            "predict", "--data", str(data_dir / "dataset.csv"),
+            "--model", str(path), "--out", str(tmp_path / "p"),
+        )
+        assert code == 0, stderr
+        horizon, lr = doc["horizon_steps"], doc["model"]["config"]["learning_rate"]
+        aligned = align_horizon(load_csv(data_dir / "dataset.csv", synthetic_schema()), horizon)
+        lines = ["issue_timestamp,target_timestamp,prediction\n"]
+        reached = set()
+        for issue, row in zip(aligned.timestamps.tolist(), aligned.features.tolist()):
+            weight = chain.predict_row(row)
+            reached.add(weight)
+            lines.append(f"{issue},{issue + horizon},{doc['model']['base_score'] + lr * weight!r}\n")
+        assert (tmp_path / "p" / "predictions.csv").read_bytes() == "".join(lines).encode()
+        assert len(reached) > 100
+
     def test_explain_rejects_renamed_features(self, data_dir, tmp_path, ebm_model):
         doc = json.loads(ebm_model.read_text())
         _rename_features(doc)

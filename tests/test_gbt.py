@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -640,20 +641,30 @@ class TestConstantFeatures:
 @st.composite
 def predict_problems(draw):
     """A small model fitted on tied random data, and query rows that hit its
-    thresholds exactly, fall between them or hold NaN."""
-    n = draw(st.integers(2, 30))
+    thresholds exactly, fall between them or hold NaN. Half of the models are
+    7 or 8 deep on 130-200 rows of up to 401 values per feature, without the
+    L2 penalty that keeps small nodes whole, so that some of their trees have
+    more than 64 leaves."""
     p = draw(st.integers(1, 3))
-    cells = st.integers(0, 4).map(float)
-    x = np.array(draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n, max_size=n)))
-    y = np.array(draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n, top, depth, lam = draw(st.integers(130, 200)), 400, draw(st.integers(7, 8)), 0.0
+        x = rng.integers(0, top + 1, (n, p)).astype(float)
+        y = rng.uniform(-50, 50, n)
+    else:
+        n, top, depth, lam = draw(st.integers(2, 30)), 4, draw(st.integers(1, 4)), 1.0
+        cells = st.integers(0, top).map(float)
+        x = np.array(draw(st.lists(st.lists(cells, min_size=p, max_size=p), min_size=n, max_size=n)))
+        y = np.array(draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
     cfg = GbtConfig(
         n_trees=draw(st.integers(0, 6)),
-        max_depth=draw(st.integers(1, 4)),
+        max_depth=depth,
         learning_rate=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        reg_lambda=lam,
         min_child_weight=0.0,
     )
     model = gbt_train(dataset_for(x, y), cfg)
-    query_cells = st.one_of(st.integers(-1, 9).map(lambda v: v / 2.0), st.just(math.nan))
+    query_cells = st.one_of(st.integers(-1, 2 * top + 1).map(lambda v: v / 2.0), st.just(math.nan))
     rows = draw(st.lists(st.lists(query_cells, min_size=p, max_size=p), max_size=12))
     return model, np.array(rows, dtype=np.float64).reshape(len(rows), p)
 
@@ -662,25 +673,133 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
+def row_reference(model, rows):
+    """What gbt_predict_batch must return: per row, base_score plus the
+    learning rate times each tree's TreeNode.predict_row, in tree order."""
+    expected = []
+    for row in rows:
+        acc = model.base_score
+        for tree in model.trees:
+            acc += model.config.learning_rate * tree.predict_row(row)
+        expected.append(acc)
+    return np.array(expected, dtype=np.float64)
+
+
+def leaf_count(node):
+    return 1 if node.is_leaf else leaf_count(node.left) + leaf_count(node.right)
+
+
 class TestPredictMatchesRowReference:
-    @settings(max_examples=150, deadline=None)
-    @given(predict_problems(), st.sampled_from(["c", "fortran", "strided"]))
-    def test_batch_and_single_row_bit_identical(self, problem, layout):
-        model, rows = problem
-        if layout == "fortran":
-            rows = np.asfortranarray(rows)
-        elif layout == "strided":
-            wide = np.full((rows.shape[0] * 2, rows.shape[1] + 1), 99.0)
-            wide[::2, 1:] = rows
-            rows = wide[::2, 1:]
-        expected = []
-        for row in rows:
-            acc = model.base_score
-            for tree in model.trees:
-                acc += model.config.learning_rate * tree.predict_row(row)
-            expected.append(acc)
-        batch = gbt_predict_batch(model, rows)
-        assert batch.shape == (rows.shape[0],)
-        assert np.array_equal(bits(batch), bits(expected))
-        single = [gbt_predict(model, row) for row in rows]
-        assert np.array_equal(bits(single), bits(batch))
+    def test_batch_and_single_row_bit_identical(self):
+        most_leaves = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(predict_problems(), st.sampled_from(["c", "fortran", "strided"]))
+        def check(problem, layout):
+            model, rows = problem
+            if layout == "fortran":
+                rows = np.asfortranarray(rows)
+            elif layout == "strided":
+                wide = np.full((rows.shape[0] * 2, rows.shape[1] + 1), 99.0)
+                wide[::2, 1:] = rows
+                rows = wide[::2, 1:]
+            batch = gbt_predict_batch(model, rows)
+            assert batch.shape == (rows.shape[0],)
+            assert np.array_equal(bits(batch), bits(row_reference(model, rows)))
+            single = [gbt_predict(model, row) for row in rows]
+            assert np.array_equal(bits(single), bits(batch))
+            most_leaves.append(max(map(leaf_count, model.trees), default=1))
+
+        check()
+        # Trees of more than 64 leaves partition their rows before scoring.
+        assert max(most_leaves) > 64
+
+
+def complete_tree(depth, p, thresholds):
+    """A complete tree of 2**depth leaves weighing 0.25 * k - 3 for the k-th
+    from the left; its splits cycle through features 0 .. p-1 and through
+    ``thresholds`` in pre-order."""
+    splits, leaves = itertools.count(), itertools.count()
+
+    def grow(d):
+        if d == depth:
+            return TreeNode(weight=0.25 * next(leaves) - 3.0)
+        k = next(splits)
+        return TreeNode(
+            feature=k % p, threshold=thresholds[k % len(thresholds)], left=grow(d + 1), right=grow(d + 1)
+        )
+
+    return grow(0)
+
+
+def split_last_leaf(node, feature, threshold):
+    """``node`` with its rightmost leaf split in two at (feature, threshold)."""
+    if node.is_leaf:
+        return TreeNode(
+            feature=feature, threshold=threshold,
+            left=TreeNode(weight=node.weight), right=TreeNode(weight=-node.weight - 1.0),
+        )
+    return node._replace(right=split_last_leaf(node.right, feature, threshold))
+
+
+SPECIAL_THRESHOLDS = [0.5, -math.inf, 0.0, math.inf, -0.0, 1.0, -1.5, 0.0]
+SPECIAL_CELLS = [-math.inf, -2.0, -1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, math.nan]
+
+
+def leaf(w):
+    return TreeNode(weight=w)
+
+
+# (schema width, trees): hand-built models at the batch scorer's edges.
+HAND_BUILT = {
+    # Exactly one 64-bit word of leaves, and one leaf more.
+    "complete-64": (2, (complete_tree(6, 2, [0.5, -1.0, 1.0, 0.0, 2.0]),)),
+    "65-leaves": (2, (split_last_leaf(complete_tree(6, 2, [0.5, -1.0, 1.0, 0.0, 2.0]), 1, 1.0),)),
+    # Infinite thresholds, and 0.0 and -0.0 in one tree.
+    "special-thresholds": (3, (complete_tree(5, 3, SPECIAL_THRESHOLDS), complete_tree(7, 3, SPECIAL_THRESHOLDS))),
+    # The same (feature, threshold) twice on one path; one subtree is unreachable.
+    "repeated-test": (2, (
+        TreeNode(
+            feature=0, threshold=1.0,
+            left=TreeNode(feature=0, threshold=1.0, left=leaf(1.0), right=leaf(2.0)),
+            right=TreeNode(
+                feature=1, threshold=-0.0,
+                left=TreeNode(feature=1, threshold=0.0, left=leaf(3.0), right=leaf(4.0)),
+                right=leaf(5.0),
+            ),
+        ),
+    )),
+    # Feature 1 of the schema is never split on.
+    "unused-feature": (3, (complete_tree(3, 1, [0.5, -1.0]), TreeNode(feature=2, threshold=0.0, left=leaf(1.5), right=leaf(-0.5)))),
+    # A NaN threshold sends every row right, as NaN <= t is false.
+    "nan-threshold": (2, (
+        TreeNode(
+            feature=0, threshold=math.nan, left=leaf(7.0),
+            right=TreeNode(feature=1, threshold=math.nan, left=leaf(8.0), right=complete_tree(2, 2, [0.5, 1.0])),
+        ),
+        split_last_leaf(complete_tree(6, 2, [0.5, -1.0]), 0, math.nan),
+    )),
+    "no-trees": (2, ()),
+    "single-leaf": (2, (leaf(2.5),)),
+    "mixed": (2, (leaf(2.5), complete_tree(6, 2, [0.5, 1.0]), split_last_leaf(complete_tree(7, 2, [0.0, 1.0, -1.5]), 0, 0.5))),
+}
+
+
+class TestHandBuiltModels:
+    """Batch predictions equal the per-row reference bit for bit on
+    hand-built trees, on rows of infinite, signed-zero and NaN cells."""
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_matches_row_reference(self, name):
+        p, trees = HAND_BUILT[name]
+        m = GbtModel(trees=trees, base_score=0.1, config=GbtConfig(learning_rate=0.3), schema=schema_for(p))
+        rows = np.array(list(itertools.product(SPECIAL_CELLS, repeat=p)))
+        for batch in (rows, rows[:0], rows[5:6]):
+            assert np.array_equal(bits(gbt_predict_batch(m, batch)), bits(row_reference(m, batch)))
+        assert np.array_equal(bits([gbt_predict(m, row) for row in rows]), bits(row_reference(m, rows)))
+
+    def test_leaf_counts(self):
+        counts = {name: [leaf_count(t) for t in trees] for name, (_, trees) in HAND_BUILT.items()}
+        assert counts["complete-64"] == [64]
+        assert counts["65-leaves"] == [65]
+        assert counts["mixed"] == [1, 64, 129]
