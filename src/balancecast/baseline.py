@@ -11,18 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientHistoryError, InvalidArgumentError
+from .errors import InsufficientHistoryError, Settings, check_bound, setting
 
 
 @dataclass(frozen=True)
-class NaiveModel:
-    horizon_steps: int
-
-    def __post_init__(self):
-        if self.horizon_steps < 1:
-            raise InvalidArgumentError(
-                f"horizon_steps must be >= 1, got {self.horizon_steps}"
-            )
+class NaiveModel(Settings):
+    horizon_steps: int = setting(low=1)
 
 
 def naive_forecast(series, horizon_steps: int, idx):
@@ -32,10 +26,7 @@ def naive_forecast(series, horizon_steps: int, idx):
     an array). Every index needs ``horizon_steps`` steps of history, and an
     empty selection has no forecast to give.
     """
-    if horizon_steps < 1:
-        raise InvalidArgumentError(
-            f"horizon_steps must be >= 1, got {horizon_steps}"
-        )
+    check_bound("horizon_steps", horizon_steps, 1, integer=True)
     s = np.asarray(series, dtype=np.float64)
     t = np.arange(len(s))[idx] if isinstance(idx, slice) else np.asarray(idx)
     if t.size == 0 or t.min() < horizon_steps:

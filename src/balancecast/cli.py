@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -28,13 +27,16 @@ from .data import (
     align_horizon,
     generate_synthetic,
     load_csv,
+    read_json_object,
     save_csv,
     save_truth_json,
     write_csv_lines,
 )
 from .ebm import EbmConfig, ebm_predict, explain_local, save_global_explanation
-from .errors import BalancecastError, InvalidArgumentError, SchemaError, UnsupportedModelError
-from .evaluation import _check_epsilon, evaluate, expanding_window_folds, model_spec
+from .errors import (
+    BalancecastError, InvalidArgumentError, SchemaError, UnsupportedModelError, check_bound
+)
+from .evaluation import evaluate, expanding_window_folds, model_spec
 from .gbt import GbtConfig
 from .persistence import KINDS, load_model, save_model
 from .stacking import META_GBT_DEFAULTS
@@ -187,18 +189,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         return args
     path = Path(args.config)
     try:
-        fh = path.open("r")
+        doc = read_json_object(path, UsageError, "config file")
     except OSError as exc:  # missing, a directory, unreadable
         raise UsageError(f"config file {path}: {exc.strerror or exc}") from None
-    with fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise UsageError(f"config file {path} is nested too deeply") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise UsageError(f"config file {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
     for key, value in doc.items():
         action = args.flag_actions.get(key.replace("-", "_"))
         if action is None:
@@ -325,7 +318,7 @@ def _backtest(args):
     given = {name: getattr(args, name, None) for name in ("epsilon", "label", "direction")}
     options = {name: v for name, v in given.items() if v is not None}
     if "epsilon" in options:  # before the caller makes its --out directory
-        _check_epsilon(options["epsilon"])
+        check_bound("epsilon", options["epsilon"], 0)
     return aligned, horizon, folds, options
 
 

@@ -15,14 +15,15 @@ import csv
 import io
 import itertools
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import GridError, IngestError, InvalidArgumentError, SchemaError
+from .errors import (
+    GridError, IngestError, InvalidArgumentError, SchemaError, Settings, check_bound, setting
+)
 
 QUARTERS_PER_HOUR = 4
 QUARTERS_PER_DAY = 96
@@ -36,8 +37,7 @@ def encode_cyclical(value, period):
     Returns ``(sin(2*pi*value/period), cos(2*pi*value/period))``. Accepts
     scalars or numpy arrays for ``value``.
     """
-    if not np.isscalar(period) or period <= 0:
-        raise InvalidArgumentError(f"period must be a positive scalar, got {period!r}")
+    check_bound("period", period, 0, above=True)
     phase = 2.0 * np.pi * np.asarray(value, dtype=np.float64) / float(period)
     sin_c = np.sin(phase)
     cos_c = np.cos(phase)
@@ -179,10 +179,7 @@ def align_horizon(d: Dataset, horizon_steps: int) -> Dataset:
     the price realized at t_(i+h), which is the supervised layout for an
     h-step-ahead forecaster. The trailing h rows are dropped.
     """
-    if not isinstance(horizon_steps, (int, np.integer)) or horizon_steps < 1:
-        raise InvalidArgumentError(
-            f"horizon_steps must be a positive integer, got {horizon_steps!r}"
-        )
+    check_bound("horizon_steps", horizon_steps, 1, integer=True)
     if horizon_steps >= d.n_rows:
         raise InvalidArgumentError(
             f"horizon_steps={horizon_steps} must be smaller than n={d.n_rows}"
@@ -238,6 +235,22 @@ def write_json(path, payload) -> None:
     already at ``path`` as it was."""
     text = json.dumps(payload, allow_nan=False) + "\n"
     Path(path).write_text(text, newline="")
+
+
+def read_json_object(path, error: type, what: str) -> dict:
+    """The JSON object that the file at ``path`` holds. A file that is not
+    UTF-8 JSON, is nested too deeply or holds another value raises ``error``
+    with a message that names it as ``what``; opening it may raise OSError."""
+    with Path(path).open("r") as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise error(f"{what} {path} is nested too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise error(f"{what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return doc
 
 
 def save_csv(d: Dataset, path) -> None:
@@ -491,28 +504,14 @@ SYNTHETIC_COMPONENTS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
 
 
 @dataclass(frozen=True)
-class SyntheticConfig:
+class SyntheticConfig(Settings):
     """Knobs for the synthetic generator; fully deterministic given seed."""
 
-    n_rows: int = 2000
-    seed: int = 42
-    noise_sd: float = 2.0
-    spike_prob: float = 0.02
-    spike_scale: float = 60.0
-
-    def __post_init__(self):
-        if self.n_rows < 1:
-            raise InvalidArgumentError(f"n_rows must be >= 1, got {self.n_rows}")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise InvalidArgumentError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
-        if not 0.0 <= self.spike_prob <= 1.0:
-            raise InvalidArgumentError(
-                f"spike_prob must be in [0, 1], got {self.spike_prob}"
-            )
-        if not (math.isfinite(self.spike_scale) and self.spike_scale > 0):
-            raise InvalidArgumentError(
-                f"spike_scale must be finite and > 0, got {self.spike_scale}"
-            )
+    n_rows: int = setting(2000, low=1)
+    seed: int = setting(42, low=0)
+    noise_sd: float = setting(2.0, low=0)
+    spike_prob: float = setting(0.02, low=0, high=1)
+    spike_scale: float = setting(60.0, low=0, above=True)
 
 
 @dataclass(frozen=True, eq=False)

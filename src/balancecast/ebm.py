@@ -24,31 +24,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, FeatureSchema, write_csv_lines
-from .errors import InvalidArgumentError, SchemaError
+from .errors import InvalidArgumentError, SchemaError, Settings, check_bound, setting
 
 
 @dataclass(frozen=True)
-class EbmConfig:
-    outer_rounds: int = 500
-    learning_rate: float = 0.05
-    max_bins: int = 256
-    max_leaves_per_round: int = 3
-
-    def __post_init__(self):
-        if self.outer_rounds < 0:
-            raise InvalidArgumentError(
-                f"outer_rounds must be >= 0, got {self.outer_rounds}"
-            )
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise InvalidArgumentError(
-                f"learning_rate must be in (0, 1], got {self.learning_rate}"
-            )
-        if self.max_bins < 2:
-            raise InvalidArgumentError(f"max_bins must be >= 2, got {self.max_bins}")
-        if self.max_leaves_per_round < 1:
-            raise InvalidArgumentError(
-                f"max_leaves_per_round must be >= 1, got {self.max_leaves_per_round}"
-            )
+class EbmConfig(Settings):
+    outer_rounds: int = setting(500, low=0)
+    learning_rate: float = setting(0.05, low=0, high=1, above=True)
+    max_bins: int = setting(256, low=2)
+    max_leaves_per_round: int = setting(3, low=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +63,7 @@ def build_bins(d: Dataset, max_bins: int) -> BinMap:
     distinct value (cuts at midpoints); otherwise cut points sit at the
     1/max_bins ... (max_bins-1)/max_bins quantiles, deduplicated.
     """
-    if max_bins < 2:
-        raise InvalidArgumentError(f"max_bins must be >= 2, got {max_bins}")
+    check_bound("max_bins", max_bins, 2, integer=True)
     if d.n_rows < 1:
         raise InvalidArgumentError("cannot bin an empty dataset")
     cuts: list[np.ndarray] = []

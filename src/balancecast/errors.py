@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the bounds on settings."""
+
+import dataclasses
+import numbers
+import sys
 
 
 class BalancecastError(Exception):
@@ -36,3 +40,44 @@ class InsufficientHistoryError(BalancecastError, ValueError):
 class UnsupportedModelError(BalancecastError, ValueError):
     """The requested operation is not defined for this model kind."""
     exit_code = 2
+
+
+def check_bound(name: str, value, low, high=None, *, above=False, integer=False) -> None:
+    """Raise InvalidArgumentError unless ``value`` is a number with
+    ``low <= value`` (``low < value`` if ``above``) and ``value <= high``.
+    An ``integer`` value must be an int and never a bool; any other value
+    is a real number, not a bool, and finite."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and (integer or abs(value) <= sys.float_info.max)  # not NaN, inf or past a float
+        and (value > low if above else value >= low)
+        and (high is None or value <= high)
+    ):
+        return
+    if high is None:
+        rule = f"{'>' if above else '>='} {low}"
+    else:
+        rule = f"in {'(' if above else '['}{low}, {high}]"
+    if integer:
+        rule = "an integer " + rule
+    elif high is None:
+        rule = "finite and " + rule
+    raise InvalidArgumentError(f"{name} must be {rule}, got {value!r}")
+
+
+def setting(default=dataclasses.MISSING, *, low, high=None, above=False):
+    """A dataclass field of a ``Settings`` class, bounded as ``check_bound``
+    bounds it; an ``int`` field must hold an integer."""
+    return dataclasses.field(default=default, metadata={"low": low, "high": high, "above": above})
+
+
+class Settings:
+    """Base of a dataclass whose fields are all ``setting``s: construction
+    checks each field against its bound."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            integer = f.type in ("int", int)
+            check_bound(f.name, getattr(self, f.name), **f.metadata, integer=integer)

@@ -15,7 +15,6 @@ without one cannot be evaluated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, csv_line, write_csv_lines
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_bound
 from .persistence import KINDS
 
 
@@ -85,10 +84,8 @@ def expanding_window_folds(n: int, initial_train: int, test_len: int) -> list[Fo
     ``test_len`` rows; the final fold may be shorter when the tail does not
     divide evenly, so the folds tile everything after the initial window.
     """
-    if initial_train < 1 or test_len < 1:
-        raise InvalidArgumentError(
-            f"initial_train and test_len must be >= 1, got {initial_train}, {test_len}"
-        )
+    check_bound("initial_train", initial_train, 1, integer=True)
+    check_bound("test_len", test_len, 1, integer=True)
     if initial_train + test_len > n:
         raise InvalidArgumentError(
             f"initial_train + test_len = {initial_train + test_len} exceeds n = {n}"
@@ -102,11 +99,6 @@ def expanding_window_folds(n: int, initial_train: int, test_len: int) -> list[Fo
     return folds
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
-
-
 def filter_deviation_events(y, y_hat, spot, epsilon: float):
     """Keep only the rows where the price deviates from spot by more than
     ``epsilon``; returns (y_kept, y_hat_kept, n_orig, n_filter)."""
@@ -115,7 +107,7 @@ def filter_deviation_events(y, y_hat, spot, epsilon: float):
     spot = np.asarray(spot, dtype=np.float64)
     if not (y.shape == y_hat.shape == spot.shape):
         raise InvalidArgumentError("y, y_hat, and spot must have equal lengths")
-    _check_epsilon(epsilon)
+    check_bound("epsilon", epsilon, 0)
     keep = np.abs(spot - y) > epsilon
     return y[keep], y_hat[keep], int(len(y)), int(keep.sum())
 
@@ -243,7 +235,7 @@ def evaluate(
     A dataset without a ``spot`` feature, a fold past its end or an
     ``epsilon`` that is not finite and >= 0 raises before any fit.
     """
-    _check_epsilon(epsilon)
+    check_bound("epsilon", epsilon, 0)
     for fold in folds:
         if fold.test_end > d.n_rows:
             raise InvalidArgumentError(

@@ -36,33 +36,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, FeatureSchema
-from .errors import DegenerateLeafError, InvalidArgumentError
+from .errors import DegenerateLeafError, InvalidArgumentError, Settings, setting
 
 
 @dataclass(frozen=True)
-class GbtConfig:
+class GbtConfig(Settings):
     """Boosting hyperparameters; all bounds validated at construction."""
 
-    n_trees: int = 300
-    learning_rate: float = 0.1
-    gamma: float = 0.0
-    reg_lambda: float = 1.0
-    max_depth: int = 6
-    min_child_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.n_trees < 0:
-            raise InvalidArgumentError(f"n_trees must be >= 0, got {self.n_trees}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise InvalidArgumentError(
-                f"learning_rate must be in (0, 1], got {self.learning_rate}"
-            )
-        if self.max_depth < 1:
-            raise InvalidArgumentError(f"max_depth must be >= 1, got {self.max_depth}")
-        for name in ("gamma", "reg_lambda", "min_child_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value}")
+    n_trees: int = setting(300, low=0)
+    learning_rate: float = setting(0.1, low=0, high=1, above=True)
+    gamma: float = setting(0.0, low=0)
+    reg_lambda: float = setting(1.0, low=0)
+    max_depth: int = setting(6, low=1)
+    min_child_weight: float = setting(1.0, low=0)
 
 
 def _score(g_sum: float, h_sum: float, reg_lambda: float) -> float:

@@ -10,18 +10,16 @@ writes them via their shortest repr.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import ebm, gbt, stacking
 from .baseline import NaiveModel, naive_forecast
-from .data import FeatureSchema, write_json
-from .errors import SchemaError, UnsupportedModelError
+from .data import FeatureSchema, read_json_object, write_json
+from .errors import InvalidArgumentError, SchemaError, UnsupportedModelError, check_bound
 
 
 def _blocks(m) -> dict:
@@ -32,30 +30,14 @@ def _blocks(m) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    if type(value) is not int:  # not a float, a string or a bool
-        raise SchemaError(f"expected a JSON integer, got {value!r}")
-    return value
-
-
-def _json_number(value) -> int | float:
-    if type(value) not in (int, float):  # not a string or a bool
-        raise SchemaError(f"expected a JSON number, got {value!r}")
-    return value
-
-
 def _blocks_from_dict(doc: dict, config_type: type) -> dict:
     """``config`` and ``schema`` keyword arguments for a model constructor;
-    an integer field of the config must hold a JSON integer, and a float
-    field any JSON number. The unused ``seed`` config field and ``kinds``
-    schema list of older model files are ignored."""
+    the config checks its own fields. The unused ``seed`` config field and
+    ``kinds`` schema list of older model files are ignored."""
     if not isinstance(doc["config"], dict):
         raise SchemaError(f"a model's config must be a JSON object, got {doc['config']!r}")
     config = dict(doc["config"])
     config.pop("seed", None)
-    for f in fields(config_type):
-        if f.name in config:
-            (_json_int if f.type in ("int", int) else _json_number)(config[f.name])
     return {
         "config": config_type(**config),
         "schema": FeatureSchema(names=tuple(doc["schema"]["names"])),
@@ -206,7 +188,7 @@ KINDS = {
             train=lambda d, horizon, fitted=None: NaiveModel(horizon_steps=horizon),
             predict=lambda m, d, rows: naive_forecast(d.target, m.horizon_steps, rows),
             to_dict=lambda m: {"horizon_steps": m.horizon_steps},
-            from_dict=lambda doc: NaiveModel(horizon_steps=_json_int(doc["horizon_steps"])),
+            from_dict=lambda doc: NaiveModel(horizon_steps=doc["horizon_steps"]),
         ),
         ModelKind(
             name="gbt",
@@ -242,25 +224,30 @@ def save_model(model, horizon_steps: int, path) -> None:
     kind = next((k for k in KINDS.values() if isinstance(model, k.model_type)), None)
     if kind is None:
         raise UnsupportedModelError(f"cannot persist {type(model).__name__}")
+    check_bound("horizon_steps", horizon_steps, 1, integer=True)
+    # predict aligns rows by the file's horizon, so a naive model's must agree.
+    if getattr(model, "horizon_steps", horizon_steps) != horizon_steps:
+        raise InvalidArgumentError(
+            f"naive horizon_steps {model.horizon_steps} cannot be saved as {horizon_steps}"
+        )
     doc = {"kind": kind.name, "horizon_steps": int(horizon_steps), "model": kind.to_dict(model)}
     write_json(path, doc)
 
 
 def load_model(path):
     """Returns (kind, horizon_steps, model); a malformed file raises SchemaError."""
-    with Path(path).open("r") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise SchemaError(f"model file {path} is nested too deeply") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise SchemaError(f"model file {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"model file {path} must hold a JSON object")
+    doc = read_json_object(path, SchemaError, "model file")
     kind = next((k for k in KINDS.values() if k.name == doc.get("kind")), None)
     if kind is None:
         raise SchemaError(f"unknown model kind {doc.get('kind')!r} in {path}")
     try:
-        return kind.name, _json_int(doc["horizon_steps"]), kind.from_dict(doc["model"])
+        horizon = doc["horizon_steps"]
+        check_bound("horizon_steps", horizon, 1, integer=True)
+        model = kind.from_dict(doc["model"])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(f"malformed {kind.name} model file {path}: {exc!r}") from None
+    if getattr(model, "horizon_steps", horizon) != horizon:
+        raise SchemaError(
+            f"model file {path}: naive horizon_steps {model.horizon_steps} is not {horizon}"
+        )
+    return kind.name, horizon, model

@@ -82,6 +82,12 @@ class TestSynth:
     def test_zero_rows_is_usage_error(self, tmp_path):
         assert run("synth", "--n-rows", "0", "--out", str(tmp_path)) == 2
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path):
+        code, stderr = run_process("synth", "--seed", "-1", "--out", "out", cwd=tmp_path)
+        assert_clean_error(code, stderr, 2)
+        assert stderr.splitlines() == ["error: bad synth config: seed must be an integer >= 0, got -1"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     def test_out_under_a_regular_file_exits_3(self, tmp_path, out):
         (tmp_path / "afile").write_text("keep\n")
@@ -253,6 +259,22 @@ class TestExitCodes:
 
 
 class TestPredict:
+    def test_naive_file_whose_horizons_differ_exits_3(self, data_dir, tmp_path):
+        model = tmp_path / "m" / "model.json"
+        assert run(
+            "train", "--model", "naive", "--horizon-steps", "32",
+            "--data", str(data_dir / "dataset.csv"), "--out", str(model.parent),
+        ) == 0
+        doc = json.loads(model.read_text())
+        doc["model"]["horizon_steps"] = 4
+        model.write_text(json.dumps(doc))
+        code, stderr = run_process(
+            "predict", "--model", str(model),
+            "--data", str(data_dir / "dataset.csv"), "--out", str(tmp_path / "p"),
+        )
+        assert_clean_error(code, stderr, 3)
+        assert not (tmp_path / "p").exists()
+
     def test_predictions_written(self, data_dir, tmp_path):
         model_dir = tmp_path / "m"
         run(
@@ -642,6 +664,7 @@ class TestModelFileEnvelopeFuzz:
             # A feature name csv would have to quote.
             ("gbt", ("model", "schema", "names", 0), "a,b"),
             ("stacked", ("model", "base", "schema", "names", 1), 'a"b'),
+            ("stacked", ("model", "meta", "config", "max_depth"), True),
         ],
     )
     def test_malformed_envelope_exits_3(

@@ -63,7 +63,7 @@ class TestEncodeCyclical:
         assert sin_c == pytest.approx(1.0, abs=1e-15)
         assert cos_c == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("period", [0, -1, -0.5])
+    @pytest.mark.parametrize("period", [0, -1, -0.5, math.nan, math.inf])
     def test_nonpositive_period(self, period):
         with pytest.raises(InvalidArgumentError):
             encode_cyclical(1.0, period)

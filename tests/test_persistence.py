@@ -7,6 +7,8 @@ import pytest
 
 from balancecast import (
     KINDS,
+    InvalidArgumentError,
+    NaiveModel,
     SchemaError,
     TreeNode,
     EbmConfig,
@@ -120,6 +122,25 @@ def test_legacy_file_with_seed_loads(tmp_path):
     assert reloaded.meta.config == model.meta.config
     assert reloaded.schema == model.schema
     assert stacked_predict_batch(reloaded, np.array([[-1.0], [1.0]])).tolist() == [10.5, 13.5]
+
+
+def test_naive_file_whose_horizons_differ_is_schema_error(tmp_path):
+    # predict aligns rows by the file's horizon and lags them by the model's:
+    # with 32 and 4, every forecast would be the price 28 quarters after it.
+    path = tmp_path / "model.json"
+    write_json(path, {"kind": "naive", "horizon_steps": 32, "model": {"horizon_steps": 4}})
+    with pytest.raises(SchemaError, match="naive horizon_steps 4 is not 32"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("horizon", [32, 0, 4.0])
+def test_naive_model_is_saved_only_under_its_own_horizon(horizon, tmp_path):
+    path = tmp_path / "model.json"
+    with pytest.raises(InvalidArgumentError, match="horizon_steps"):
+        save_model(NaiveModel(4), horizon, path)
+    assert not path.exists()
+    save_model(NaiveModel(4), 4, path)
+    assert load_model(path) == ("naive", 4, NaiveModel(4))
 
 
 def test_tree_nested_too_deeply_is_schema_error(tiny_data, tmp_path, monkeypatch):
