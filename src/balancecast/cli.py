@@ -30,7 +30,7 @@ from .data import (
     read_json_object,
     save_csv,
     save_truth_json,
-    write_csv_lines,
+    write_csv,
 )
 from .ebm import EbmConfig, ebm_predict, explain_local, save_global_explanation
 from .errors import (
@@ -72,6 +72,11 @@ CONFIG_FLAGS = (
 )
 
 
+# The lower bound of each flag that no config holds: a value outside it is a
+# usage error, one that the data cannot serve (past its last row) a data error.
+FLAG_BOUNDS = {"horizon_steps": 1, "initial_train": 1, "test_len": 1, "epsilon": 0, "row": 0}
+
+
 class UsageError(BalancecastError):
     """Bad flag combination or value."""
     exit_code = 2
@@ -84,7 +89,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_data(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", type=str, default=None, help="dataset CSV path")
-    parser.add_argument("--horizon-steps", type=int, default=None)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *configs: str) -> None:
@@ -97,6 +101,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, *configs: str) -> None:
 
 
 def _add_eval(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--horizon-steps", type=int, default=None)
     parser.add_argument("--initial-train", type=int, default=None)
     parser.add_argument("--test-len", type=int, default=None)
     parser.add_argument("--epsilon", type=float, default=None)
@@ -121,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data(p)
     _add_config_flags(p, "gbt", "ebm", "meta")
+    # predict and explain take the horizon from the model file.
+    p.add_argument("--horizon-steps", type=int, default=None)
     p.add_argument("--model", type=str, default=None, help="|".join(KINDS))
     p.set_defaults(func=cmd_train)
 
@@ -204,6 +211,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                     f"config file {path}: bad value {value!r} for {key!r}"
                 ) from None
     return args
+
+
+def _check_flag_bounds(args) -> None:
+    for name, low in FLAG_BOUNDS.items():
+        if getattr(args, name, None) is not None:
+            integer = args.flag_actions[name].type is int
+            check_bound(name, getattr(args, name), low, integer=integer, error=UsageError)
 
 
 def _get(args, name: str, fallback):
@@ -297,12 +311,9 @@ def cmd_predict(args) -> None:
     rows = slice(getattr(model, "horizon_steps", 0), aligned.n_rows)
     preds = KINDS[kind].predict(model, aligned, rows)
     out = _out_dir(args)
-    pairs = zip(aligned.timestamps[rows].tolist(), preds.tolist())
-    write_csv_lines(
-        out / "predictions.csv",
-        ["issue_timestamp", "target_timestamp", "prediction"],
-        (f"{issue},{issue + horizon},{pred!r}\n" for issue, pred in pairs),
-    )
+    issued = aligned.timestamps[rows]
+    header = ["issue_timestamp", "target_timestamp", "prediction"]
+    write_csv(out / "predictions.csv", header, [issued, issued + horizon, preds])
     print(f"wrote {out / 'predictions.csv'}")
 
 
@@ -317,8 +328,6 @@ def _backtest(args):
     folds = expanding_window_folds(aligned.n_rows, initial_train, test_len)
     given = {name: getattr(args, name, None) for name in ("epsilon", "label", "direction")}
     options = {name: v for name, v in given.items() if v is not None}
-    if "epsilon" in options:  # before the caller makes its --out directory
-        check_bound("epsilon", options["epsilon"], 0)
     return aligned, horizon, folds, options
 
 
@@ -346,27 +355,18 @@ def cmd_explain(args) -> None:
         raise UnsupportedModelError(
             f"explain requires an ebm model file, got kind={kind!r}"
         )
-    out = _out_dir(args)
     row = getattr(args, "row", None)
+    if row is not None and row >= d.n_rows:
+        raise InvalidArgumentError(f"--row {row} out of range for {d.n_rows} rows")
+    out = _out_dir(args)
     if row is None:
         save_global_explanation(model, d, out)
         print(f"wrote {out / 'importance.csv'}, {out / 'shapes.csv'}")
     else:
-        if not 0 <= row < d.n_rows:
-            raise InvalidArgumentError(
-                f"--row {row} out of range for {d.n_rows} rows"
-            )
         x = d.features[row]
-        contributions = explain_local(model, x)
-        prediction = ebm_predict(model, x)
-        rows = [
-            *contributions, ("__intercept__", model.intercept), ("__prediction__", prediction)
-        ]
-        write_csv_lines(
-            out / "local_explanation.csv",
-            ["feature", "contribution"],
-            (f"{name},{c!r}\n" for name, c in rows),
-        )
+        rows = [*explain_local(model, x), ("__intercept__", model.intercept)]
+        rows.append(("__prediction__", ebm_predict(model, x)))
+        write_csv(out / "local_explanation.csv", ["feature", "contribution"], list(zip(*rows)))
         print(f"wrote {out / 'local_explanation.csv'}")
 
 
@@ -409,15 +409,8 @@ def cmd_grid(args) -> None:
         for combo, spec in zip(combos, specs)
     ]
     results.sort(key=lambda r: (r[1].mae, r[0]))
-    write_csv_lines(
-        out / "grid.csv",
-        [*names, "mae", "rmse", "r2"],
-        (
-            f"{','.join(map(repr, combo))},{m.mae!r},{m.rmse!r},"
-            f"{'' if m.r2 is None else repr(m.r2)}\n"
-            for combo, m in results
-        ),
-    )
+    rows = [(*combo, m.mae, m.rmse, m.r2) for combo, m in results]
+    write_csv(out / "grid.csv", [*names, "mae", "rmse", "r2"], list(zip(*rows)))
     print(f"wrote {out / 'grid.csv'} ({len(results)} combinations)")
 
 
@@ -429,6 +422,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _merge_config(args)
+        _check_flag_bounds(args)
         args.func(args)
         return 0
     except BalancecastError as exc:

@@ -195,7 +195,7 @@ def align_horizon(d: Dataset, horizon_steps: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-# Rows that load_csv parses and save_csv formats at a time: each holds one
+# Rows that load_csv parses and write_csv formats at a time: each holds one
 # chunk's lines and cells, never the whole file's. At 1,024 rows a chunk's
 # strings take less memory than a year-long file's arrays, so they do not
 # raise load_csv's peak.
@@ -217,14 +217,6 @@ def csv_line(cells) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(cells)
     return buf.getvalue()
-
-
-def write_csv_lines(path, header: list[str], lines) -> None:
-    """Write the csv ``header`` row, then the already formatted ``lines``
-    (each string one or more whole lines)."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(csv_line(header))
-        fh.writelines(lines)
 
 
 def write_json(path, payload) -> None:
@@ -253,24 +245,43 @@ def read_json_object(path, error: type, what: str) -> dict:
     return doc
 
 
-def save_csv(d: Dataset, path) -> None:
-    """Write ``timestamp,<features...>,target`` rows; floats via repr so a
-    reload reproduces every value exactly. Rows are formatted
-    ``_CSV_CHUNK_ROWS`` at a time, so memory stays bounded. Each distinct
-    value of a column is formatted once per chunk, as it would be per cell."""
+def _cells(col, rows: slice) -> list[str]:
+    """The cells of ``col[rows]`` as :func:`write_csv` formats them."""
+    part = col[rows]
+    if not isinstance(part, np.ndarray):
+        quoted = {v: csv_line([v, ""])[:-2] for v in set(part) if isinstance(v, str)}
+        return [quoted[v] if isinstance(v, str) else "" if v is None else str(v) for v in part]
+    if part.dtype.kind != "f":
+        return list(map(str, part.tolist()))
+    # Bit patterns as keys keep 0.0 and -0.0 apart.
+    keys, cell_of = np.unique(part.view(np.int64), return_inverse=True)
+    cells = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return cells[cell_of].tolist()
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    """Write the csv ``header`` row, then one row per index of the equally
+    long ``columns``, ``_CSV_CHUNK_ROWS`` rows at a time. The one cell format
+    of every CSV file: an integer array's cells are ``str(int)``; a float64
+    array's are the ``repr`` of each value, so a reload reproduces it bit for
+    bit, and each distinct value (``0.0`` and ``-0.0`` count as two) is
+    formatted once per chunk. Any other column is a sequence of cells: a
+    string as given, quoted only where csv quotes it in a row of two or more
+    cells; None as an empty cell; a number as ``str(value)``, a float's repr."""
+    n_rows = len(columns[0]) if columns else 0
 
     def chunk(lo: int) -> str:
-        rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-        cols = [map(str, d.timestamps[rows].tolist())]
-        for col in (*d.features[rows].T, d.target[rows]):
-            # Bit patterns as keys keep 0.0 and -0.0 apart.
-            keys, cell_of = np.unique(col.view(np.int64), return_inverse=True)
-            cells = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-            cols.append(cells[cell_of].tolist())
+        cols = [_cells(col, slice(lo, lo + _CSV_CHUNK_ROWS)) for col in columns]
         return "".join([",".join(row) + "\n" for row in zip(*cols)])
 
-    chunks = map(chunk, range(0, d.n_rows, _CSV_CHUNK_ROWS))
-    write_csv_lines(path, _expected_header(d.schema), chunks)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(csv_line(header))
+        fh.writelines(map(chunk, range(0, n_rows, _CSV_CHUNK_ROWS)))
+
+
+def save_csv(d: Dataset, path) -> None:
+    """Write ``timestamp,<features...>,target`` rows with :func:`write_csv`."""
+    write_csv(path, _expected_header(d.schema), [d.timestamps, *d.features.T, d.target])
 
 
 def _parse_cells(path, header: list[str], stamps: list[str], values, rows, first_row_no: int):

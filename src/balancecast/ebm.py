@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, write_csv_lines
+from .data import Dataset, FeatureSchema, write_csv
 from .errors import InvalidArgumentError, SchemaError, Settings, check_bound, setting
 
 
@@ -327,19 +327,11 @@ def save_global_explanation(m: EbmModel, d: Dataset, out) -> list[tuple[str, flo
     directory ``out``; returns the ranking."""
     out = Path(out)
     ranking = global_importance(m, d)
-    write_csv_lines(
-        out / "importance.csv",
-        ["rank", "feature", "mac"],
-        (f"{rank},{name},{mac!r}\n" for rank, (name, mac) in enumerate(ranking, start=1)),
-    )
-    write_csv_lines(
-        out / "shapes.csv",
-        ["feature", "bin_lower", "bin_upper", "contribution"],
-        (
-            f"{name},{lower!r},{upper!r},{contribution!r}\n"
-            for name, table in export_shapes(m).items()
-            for lower, upper, contribution in table
-        ),
-    )
+    names, macs = zip(*ranking)
+    ranks = range(1, len(names) + 1)
+    write_csv(out / "importance.csv", ["rank", "feature", "mac"], [ranks, names, macs])
+    shapes = [(name, *row) for name, table in export_shapes(m).items() for row in table]
+    header = ["feature", "bin_lower", "bin_upper", "contribution"]
+    write_csv(out / "shapes.csv", header, list(zip(*shapes)))
     return ranking
 

@@ -42,11 +42,13 @@ class UnsupportedModelError(BalancecastError, ValueError):
     exit_code = 2
 
 
-def check_bound(name: str, value, low, high=None, *, above=False, integer=False) -> None:
-    """Raise InvalidArgumentError unless ``value`` is a number with
-    ``low <= value`` (``low < value`` if ``above``) and ``value <= high``.
-    An ``integer`` value must be an int and never a bool; any other value
-    is a real number, not a bool, and finite."""
+def check_bound(
+    name: str, value, low, high=None, *, above=False, integer=False, error=InvalidArgumentError
+) -> None:
+    """Raise ``error`` unless ``value`` is a number with ``low <= value``
+    (``low < value`` if ``above``) and ``value <= high``. An ``integer``
+    value must be an int and never a bool; any other value is a real
+    number, not a bool, and finite."""
     kind = numbers.Integral if integer else numbers.Real
     if (
         isinstance(value, kind)
@@ -64,7 +66,7 @@ def check_bound(name: str, value, low, high=None, *, above=False, integer=False)
         rule = "an integer " + rule
     elif high is None:
         rule = "finite and " + rule
-    raise InvalidArgumentError(f"{name} must be {rule}, got {value!r}")
+    raise error(f"{name} must be {rule}, got {value!r}")
 
 
 def setting(default=dataclasses.MISSING, *, low, high=None, above=False):

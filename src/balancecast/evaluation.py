@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, csv_line, write_csv_lines
+from .data import Dataset, write_csv
 from .errors import InvalidArgumentError, check_bound
 from .persistence import KINDS
 
@@ -155,14 +155,11 @@ class EvalRow:
 
 
 def _report_cells(row: EvalRow) -> list:
-    """The ``report.csv`` cells of ``row``; metrics that do not exist are empty."""
+    """The ``report.csv`` cells of ``row``; metrics that do not exist are None."""
     m = row.metrics
     return [
         row.label, row.direction, row.model, "true" if row.filtered else "false",
-        row.n_orig, row.n_filter,
-        "" if m is None else repr(m.mae),
-        "" if m is None else repr(m.rmse),
-        "" if m is None or m.r2 is None else repr(m.r2),
+        row.n_orig, row.n_filter, *((m.mae, m.rmse, m.r2) if m else (None,) * 3),
     ]
 
 
@@ -181,20 +178,22 @@ class EvalReport:
         """Write ``report.csv``, ``report.txt`` and ``predictions.csv`` into
         the directory ``out``."""
         out = Path(out)
-        write_csv_lines(
+        write_csv(
             out / "report.csv",
             ["label", "direction", "model", "filtered", "n_orig", "n_filter", "mae", "rmse", "r2"],
-            (csv_line(_report_cells(row)) for row in self.rows),
+            list(zip(*map(_report_cells, self.rows))),
         )
         (out / "report.txt").write_text(self.format_table() + "\n")
-        issued, actual = self.issue_timestamps.tolist(), self.actual.tolist()
-        pooled = [f"{issue},{y!r}," for issue, y in zip(issued, actual)]
-        # "<label>," as csv begins a row; csv quotes an empty cell only when alone.
-        labels = [(csv_line([m, ""])[:-1], pool.tolist()) for m, pool in self.predictions.items()]
-        write_csv_lines(
+        preds = list(self.predictions.values())
+        write_csv(
             out / "predictions.csv",
             ["model", "issue_timestamp", "actual", "predicted"],
-            (f"{label}{row}{p!r}\n" for label, preds in labels for row, p in zip(pooled, preds)),
+            [
+                [m for m in self.predictions for _ in range(len(self.actual))],
+                np.tile(self.issue_timestamps, len(preds)),
+                np.tile(self.actual, len(preds)),
+                np.concatenate(preds) if preds else self.actual[:0],
+            ],
         )
 
     def format_table(self) -> str:

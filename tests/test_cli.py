@@ -16,7 +16,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from balancecast import cli, ebm, errors, gbt, stacking
-from balancecast import ebm_predict_batch, load_csv, load_model, synthetic_schema
+from balancecast import (
+    SyntheticConfig, ebm_predict_batch, generate_synthetic, load_csv, load_model, save_csv,
+    synthetic_schema,
+)
 from balancecast.cli import main
 from balancecast.data import align_horizon
 
@@ -1196,10 +1199,174 @@ class TestBadEpsilon:
             *command, "--data", str(data_dir / "dataset.csv"),
             "--initial-train", "400", "--test-len", "134", "--epsilon", eps, "--out", str(out),
         )
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "epsilon must be finite and >= 0" in err
         assert not out.exists()
+
+
+class TestFlagBounds:
+    """A flag value outside the flag's own bound is a usage error (exit 2),
+    raised before ``--out`` is made; a valid value that the data cannot
+    serve is a data error (exit 3)."""
+
+    BACKTEST = ["--initial-train", "400", "--test-len", "134"]
+
+    @staticmethod
+    def with_models(argv, small_models):
+        """``argv`` with ``{ebm}`` and ``{gbt}`` standing for the saved small models."""
+        return [a.format(**{k: small_models / k / "model.json" for k in ("ebm", "gbt")}) for a in argv]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["train", "--model", "naive", "--horizon-steps", "0"], "horizon_steps must be"),
+            (["evaluate", "--models", "naive", "--initial-train", "0", "--test-len", "134"],
+             "initial_train must be"),
+            (["evaluate", "--models", "naive", "--initial-train", "400", "--test-len", "0"],
+             "test_len must be"),
+            (["evaluate", "--models", "naive", *BACKTEST, "--epsilon", "nan"], "epsilon must be"),
+            (["grid", "--model", "gbt", "--param", "n_trees=2", *BACKTEST, "--epsilon", "-1"],
+             "epsilon must be"),
+            (["explain", "--model", "{ebm}", "--row", "-1"], "row must be"),
+            (["predict", "--model", "{gbt}", "--horizon-steps", "4"], "--horizon-steps"),
+        ],
+        ids=["horizon-0", "initial-train-0", "test-len-0", "epsilon-nan", "grid-epsilon--1",
+             "row--1", "predict-horizon"],
+    )
+    def test_out_of_bound_exits_2(self, data_dir, small_models, tmp_path, argv, named):
+        argv = self.with_models(argv, small_models)
+        code, stderr = run_process(
+            *argv, "--data", str(data_dir / "dataset.csv"), "--out", "out", cwd=tmp_path
+        )
+        assert code == 2, stderr
+        assert "Traceback" not in stderr and named in stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["explain", "--model", "{ebm}"], {"row": -1}),
+            (["predict", "--model", "{gbt}"], {"horizon_steps": 32}),
+            (["train", "--model", "naive"], {"horizon_steps": 0}),
+        ],
+        ids=["row--1", "predict-horizon", "horizon-0"],
+    )
+    def test_config_value_out_of_bound_exits_2(self, data_dir, small_models, tmp_path, argv, doc):
+        argv = self.with_models(argv, small_models)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code, stderr = run_process(
+            *argv, "--config", "cfg.json", "--data", str(data_dir / "dataset.csv"),
+            "--out", "out", cwd=tmp_path,
+        )
+        assert_clean_error(code, stderr, 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--model", "naive", "--horizon-steps", "700"],
+            ["evaluate", "--models", "naive", "--initial-train", "600", "--test-len", "134"],
+            ["explain", "--model", "{ebm}", "--row", "700"],
+        ],
+        ids=["horizon-700", "folds-past-end", "row-700"],
+    )
+    def test_value_the_data_cannot_serve_exits_3(self, data_dir, small_models, tmp_path, argv):
+        argv = self.with_models(argv, small_models)
+        code, stderr = run_process(
+            *argv, "--data", str(data_dir / "dataset.csv"), "--out", "out", cwd=tmp_path
+        )
+        assert_clean_error(code, stderr, 3)
+        assert not (tmp_path / "out").exists()
+
+
+def _rewritten(path: Path) -> bytes:
+    """The file at ``path`` as the csv module writes its parsed cells back:
+    an integer cell through ``int``, a float cell through ``repr(float(cell))``
+    and any other cell as read."""
+
+    def cell(text):
+        for parse in (int, lambda c: repr(float(c))):
+            with contextlib.suppress(ValueError):
+                return parse(text)
+        return text
+
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([list(map(cell, row)) for row in rows[1:]])
+    return buf.getvalue().encode()
+
+
+class TestCsvArtifacts:
+    """Every CSV file the commands write is the csv module's rendering of its
+    cells: an integer as its digits, a float as its repr and text quoted only
+    where csv quotes it, awkward cells included."""
+
+    LABEL = 'NO1, "up"'
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("artifacts")
+        d, _ = generate_synthetic(SyntheticConfig(n_rows=400, seed=1))
+        x, y = d.features.copy(), d.target.copy()
+        x[5, 7] = -0.0  # month_sin, 0.0 in every other row
+        y[[40, 41, 90]] = -0.0
+        y[200:] = 42.0  # constant test windows, whose r2 is undefined
+        d = dataclasses.replace(d, features=x, target=y)
+        save_csv(d, out / "dataset.csv")
+        data = ["--data", str(out / "dataset.csv")]
+        backtest = [*data, "--initial-train", "200", "--test-len", "84"]
+        for kind in ("naive", "gbt", "ebm"):
+            assert run("train", "--model", kind, *data, "--n-trees", "3", "--outer-rounds", "5",
+                       "--out", str(out / kind)) == 0
+        model = {kind: str(out / kind / "model.json") for kind in ("naive", "gbt", "ebm")}
+        commands = [
+            ["predict", "--model", model["naive"], *data, "--out", str(out / "p-naive")],
+            ["predict", "--model", model["gbt"], *data, "--out", str(out / "p-gbt")],
+            ["evaluate", "--models", "naive,gbt", "--n-trees", "3", *backtest,
+             "--label", self.LABEL, "--direction", "", "--epsilon", "1e9", "--out", str(out / "e")],
+            ["explain", "--model", model["ebm"], *data, "--out", str(out / "x")],
+            ["explain", "--model", model["ebm"], *data, "--row", "5", "--out", str(out / "x5")],
+            ["grid", "--model", "gbt", "--param", "n_trees=2,3", *backtest, "--out", str(out / "g")],
+        ]
+        for argv in commands:
+            assert run(*argv) == 0, argv
+        return out, d
+
+    FILES = [
+        "dataset.csv", "p-naive/predictions.csv", "p-gbt/predictions.csv", "e/report.csv",
+        "e/predictions.csv", "x/importance.csv", "x/shapes.csv", "x5/local_explanation.csv",
+        "g/grid.csv",
+    ]
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_file_is_a_csv_module_rewrite_of_its_cells(self, artifacts, name):
+        path = artifacts[0] / name
+        assert path.read_bytes() == _rewritten(path)
+
+    def test_dataset_reloads_bit_for_bit(self, artifacts):
+        out, d = artifacts
+        loaded = load_csv(out / "dataset.csv")
+        for saved, reloaded in ((d.features, loaded.features), (d.target, loaded.target)):
+            assert saved.view(np.int64).tolist() == reloaded.view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("dataset.csv", ",-0.0,"),
+            ("p-naive/predictions.csv", ",-0.0\n"),
+            ("e/report.csv", '"NO1, ""up""",,naive,true,'),
+            ("e/report.csv", ",,,\n"),
+            ("x/shapes.csv", ",-inf,"),
+            ("x/shapes.csv", ",inf,"),
+            ("g/grid.csv", ",\n"),
+        ],
+    )
+    def test_awkward_cells_are_present(self, artifacts, name, text):
+        assert text in (artifacts[0] / name).read_text()
 
 
 class TestHorizonStepsMustBeAnInteger:
@@ -1276,7 +1443,7 @@ class TestUnreadableFiles:
     def test_exits_cleanly(self, data_dir, small_models, tmp_path, case):
         replaced, content, expected_code, named = UNREADABLE[case]
         files = {
-            "config": json.dumps({"horizon_steps": 32}).encode(),
+            "config": json.dumps({"out": "out"}).encode(),
             "data": (data_dir / "dataset.csv").read_bytes(),
             "model": (small_models / "gbt" / "model.json").read_bytes(),
         }
