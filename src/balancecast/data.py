@@ -209,13 +209,14 @@ def _expected_header(schema: FeatureSchema) -> list[str]:
 def _csv_quotes(name: str) -> bool:
     """Whether csv must quote ``name``: it is empty or holds a comma, a quote
     or a "\n" (csv quotes those), or a "\r" (a line break to the csv reader)."""
-    return csv_line([name]) != name + "\n" or "\r" in name
+    return csv_line([name], "\r\n") != name + "\r\n"
 
 
-def csv_line(cells) -> str:
-    """One csv line of ``cells``, quoted where csv needs it."""
+def csv_line(cells, end: str = "\n") -> str:
+    """One csv line of ``cells`` ending in ``end``, quoted where csv needs it:
+    csv also quotes a cell that holds a character of ``end``."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
+    csv.writer(buf, lineterminator=end).writerow(cells)
     return buf.getvalue()
 
 
@@ -249,7 +250,8 @@ def _cells(col, rows: slice) -> list[str]:
     """The cells of ``col[rows]`` as :func:`write_csv` formats them."""
     part = col[rows]
     if not isinstance(part, np.ndarray):
-        quoted = {v: csv_line([v, ""])[:-2] for v in set(part) if isinstance(v, str)}
+        # Lines that end in "\r\n" make csv quote a bare "\r" too, as _csv_quotes does.
+        quoted = {v: csv_line([v, ""], "\r\n")[:-3] for v in set(part) if isinstance(v, str)}
         return [quoted[v] if isinstance(v, str) else "" if v is None else str(v) for v in part]
     if part.dtype.kind != "f":
         return list(map(str, part.tolist()))
@@ -267,7 +269,8 @@ def write_csv(path, header: list[str], columns) -> None:
     bit, and each distinct value (``0.0`` and ``-0.0`` count as two) is
     formatted once per chunk. Any other column is a sequence of cells: a
     string as given, quoted only where csv quotes it in a row of two or more
-    cells; None as an empty cell; a number as ``str(value)``, a float's repr."""
+    cells or where it holds a "\r"; None as an empty cell; a number as
+    ``str(value)``, a float's repr."""
     n_rows = len(columns[0]) if columns else 0
 
     def chunk(lo: int) -> str:

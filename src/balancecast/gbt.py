@@ -18,12 +18,14 @@ order, one row of a (features x rows) block per feature, and a split
 partitions the block stably instead of sorting again. A feature constant
 among a node's rows has no candidate there or below, so its block row is
 dropped. Each node scores the rest at once with gradient prefix sums along
-the rows; the Hessian sums on either side of a candidate are row counts, so
-``min_child_weight`` is a range of candidate positions, and a child that
-must be a leaf (at max_depth, or one row) gets no blocks. Splits and batch
-predictions read each feature as one contiguous row of x.T. Batch prediction
-scores each tree of at most 64 leaves by bitvectors over per-feature threshold
-codes (QuickScorer); a larger tree partitions its rows first."""
+the rows, over every column of its contiguous block; the Hessian sums on
+either side of a candidate are row counts, so ``min_child_weight`` is a
+range of candidate positions, and one mask drops ties and the columns
+outside it. A child that must be a leaf (at max_depth, or one row) gets no
+blocks. Splits and batch predictions read each feature as one contiguous row
+of x.T. Batch prediction scores each tree of at most 64 leaves by bitvectors
+over per-feature threshold codes (QuickScorer); a larger tree partitions its
+rows first."""
 
 from __future__ import annotations
 
@@ -148,13 +150,14 @@ def _fit_constants(x: np.ndarray, reg_lambda: float) -> tuple:
     root's block, that is the schema indices of the features that are not
     constant and per such feature its row order (ties by row index) and
     sorted values, one row each; and the denominators for _best_split, the
-    counts 1 .. n-1 plus lambda ascending and descending."""
+    counts 1 .. n and n-1 .. 1 plus lambda, then 1.0 for the masked column
+    after all rows, which keeps lambda = 0 from dividing by zero."""
     cols = np.ascontiguousarray(x.T)
     order = np.argsort(cols, axis=1, kind="stable")
     values = np.take_along_axis(cols, order, axis=1)
     live = values[:, 0] != values[:, -1]
-    counts = np.arange(1.0, x.shape[0])
-    denoms = (counts + reg_lambda, counts[::-1] + reg_lambda)
+    counts = np.arange(x.shape[0] + 1.0)
+    denoms = (counts[1:] + reg_lambda, np.append(counts[-2:0:-1] + reg_lambda, 1.0))
     return cols, (np.flatnonzero(live), order[live], values[live]), denoms
 
 
@@ -163,43 +166,45 @@ def _best_split(g, block, g_total: float, cfg: GbtConfig, denoms) -> tuple[float
 
     ``block`` holds the schema indices of the features that are not constant
     among the node's m rows, and per feature the rows in sorted order and
-    their values. Every feature is scored in one pass: the gradient prefix
-    sums run along each row, so each candidate's gain is the one a
-    per-feature scan would compute. The candidate after k rows has Hessian
-    sums k and m - k, whose denominators are entries of ``denoms``; it is
-    kept iff both reach ``min_child_weight``, that is iff
-    ``least <= k <= m - least`` with ``least`` its ceiling (at least 1). A
-    feature with no candidate in that range is skipped.
+    their values, contiguous. Every feature is scored in one pass over all
+    m columns: prefix sums run along each row, so column k has the gain a
+    per-feature scan gives the candidate after k + 1 rows, whose Hessian
+    sums k + 1 and m - k - 1 index ``denoms``. One mask sets to -inf a tie
+    and each column outside ``least - 1 <= k < m - least``, where both sides
+    reach ``min_child_weight`` (``least`` its ceiling, at least 1). A
+    feature with no candidate left is skipped.
     """
     features, order, values = block
     m = order.shape[1]
     least = max(1, math.ceil(cfg.min_child_weight))
-    # Columns lo .. hi-1 are the candidates after least .. m-least rows.
     lo, hi = least - 1, m - least
     if lo >= hi:
         return None
-    g_left = g[order[:, :hi]].cumsum(axis=1)[:, lo:]
-    g_right = g_total - g_left
-    invalid = values[:, lo:hi] == values[:, lo + 1 : hi + 1]
+    gains = g.take(order)
+    gains.cumsum(axis=1, out=gains)
+    g_right = g_total - gains
     # In place, but in the order of 0.5 * (score_l + score_r - parent) - gamma.
     left_den, right_den = denoms
-    gains = g_left
-    gains *= g_left
-    gains /= left_den[lo:hi]
+    gains *= gains
+    gains /= left_den[:m]
     g_right *= g_right
-    g_right /= right_den[right_den.size - hi : right_den.size - lo]
+    g_right /= right_den[right_den.size - m :]
     gains += g_right
     gains -= _score(g_total, float(m), cfg.reg_lambda)
     gains *= 0.5
     if cfg.gamma:  # x - 0.0 == x for every x
         gains -= cfg.gamma
-    np.putmask(gains, invalid, -np.inf)
+    # The last column's compare spans two features; hi <= m - 1 masks it.
+    masked, flat = np.empty(values.shape, dtype=bool), values.ravel()
+    np.equal(flat[:-1], flat[1:], out=masked.ravel()[:-1])
+    masked[:, :lo] = masked[:, hi:] = True
+    np.putmask(gains, masked, -np.inf)
     # A row's max is the gain at its argmax, NaN if it holds one.
     top = gains.max(axis=1).tolist()
     # A feature that is not constant has a candidate in the full range, so
     # only a narrower one can leave it none. Such a feature is skipped, not
     # scored -inf: a NaN gain met first must still block every later feature.
-    scored = range(len(top)) if least == 1 else np.flatnonzero(~invalid.all(axis=1)).tolist()
+    scored = range(len(top)) if least == 1 else np.flatnonzero(~masked.all(axis=1)).tolist()
     best = None
     for j in scored:
         if best is None or top[j] > top[best]:
@@ -208,7 +213,7 @@ def _best_split(g, block, g_total: float, cfg: GbtConfig, denoms) -> tuple[float
         return None
     # Midpoint thresholds ascend along a row, so argmax lands on the lowest
     # threshold among equal gains within a feature.
-    k = lo + int(gains[best].argmax())
+    k = int(gains[best].argmax())
     a, b = values[best, k : k + 2].tolist()
     return top[best], int(features[best]), 0.5 * (a + b)
 
@@ -235,28 +240,29 @@ def _grow_tree(cols, block, denoms, g, cfg: GbtConfig, out: np.ndarray) -> TreeN
     # side[i] tells whether row i goes left at the split being made; a node
     # reads only the entries of its own rows.
     side = np.empty(cols.shape[1], dtype=bool)
+    max_depth, reg_lambda = cfg.max_depth, cfg.reg_lambda
 
     def grow(idx: np.ndarray, block, depth: int) -> TreeNode:
         g_total = float(g[idx].sum())
         best = None
-        if depth < cfg.max_depth and idx.size >= 2 and block[0].size:
+        if depth < max_depth and idx.size >= 2 and block[0].size:
             best = _best_split(g, block, g_total, cfg, denoms)
         if best is None or best[0] <= 0.0:
-            weight = leaf_weight(g_total, float(idx.size), cfg.reg_lambda)
+            weight = leaf_weight(g_total, float(idx.size), reg_lambda)
             out[idx] = weight
-            return TreeNode(weight=weight)
+            return TreeNode(weight)
         _, feature, threshold = best
         mask = cols[feature][idx] <= threshold
-        children = (idx[mask], idx[~mask])
+        left, right = idx[mask], idx[~mask]
         # A child at max_depth or with one row is a leaf and gets no block.
-        splits = [depth + 1 < cfg.max_depth and rows.size >= 2 for rows in children]
-        blocks = [None, None]
-        if any(splits):
+        left_block = right_block = None
+        if depth + 1 < max_depth and (left.size >= 2 or right.size >= 2):
             side[idx] = mask
             sel = side[block[1]].ravel()
-            blocks = [_child_block(block, keep) if s else None for s, keep in zip(splits, (sel, ~sel))]
-        left, right = [grow(rows, b, depth + 1) for rows, b in zip(children, blocks)]
-        return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+            left_block = _child_block(block, sel) if left.size >= 2 else None
+            right_block = _child_block(block, ~sel) if right.size >= 2 else None
+        left = grow(left, left_block, depth + 1)
+        return TreeNode(None, feature, threshold, left, grow(right, right_block, depth + 1))
 
     return grow(np.arange(cols.shape[1]), block, 0)
 

@@ -754,6 +754,22 @@ class TestEvaluate:
         assert [row[0] for row in rows] == ["label", label, label]
         assert all(len(row) == 9 for row in rows)
 
+    def test_label_with_carriage_return_round_trips(self, data_dir, tmp_path):
+        """A "\r" that csv would leave bare is quoted: the csv reader ends a
+        line at a bare one."""
+        label, direction = "a\rb", "\r"
+        code = run(
+            "evaluate", "--data", str(data_dir / "dataset.csv"),
+            "--models", "naive,gbt,ebm,stacked", "--initial-train", "400", "--test-len", "134",
+            "--n-trees", "2", "--outer-rounds", "2", "--meta-n-trees", "2", "--max-depth", "2",
+            "--label", label, "--direction", direction, "--out", str(tmp_path),
+        )
+        assert code == 0
+        with (tmp_path / "report.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [9] * 9
+        assert {(row[0], row[1]) for row in rows[1:]} == {(label, direction)}
+
     def test_epsilon_monotone(self, data_dir, tmp_path):
         kept = []
         for i, eps in enumerate(("0.5", "5", "50")):

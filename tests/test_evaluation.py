@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -429,14 +430,21 @@ class TestEvalReportOutput:
             predictions={label: actual[::-1] * i for i, label in enumerate(labels)},
         )
         report.save(tmp_path)
-        with (tmp_path / "expected.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["model", "issue_timestamp", "actual", "predicted"])
-            for label, pred_pool in report.predictions.items():
-                for t, y, p in zip(range(-3, 3), actual.tolist(), pred_pool.tolist()):
-                    writer.writerow([label, t, repr(y), repr(p)])
-        expected = (tmp_path / "expected.csv").read_bytes()
-        assert (tmp_path / "predictions.csv").read_bytes() == expected
+        rows = [["model", "issue_timestamp", "actual", "predicted"]]
+        for label, pred_pool in report.predictions.items():
+            for t, y, p in zip(range(-3, 3), actual.tolist(), pred_pool.tolist()):
+                rows.append([label, str(t), repr(y), repr(p)])
+
+        def line(row):
+            # A writer whose lines end in "\r\n" also quotes a cell holding
+            # a bare "\r", which the csv reader would take for a line break.
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(row)
+            return buf.getvalue()[:-2] + "\n"
+
+        assert (tmp_path / "predictions.csv").read_bytes() == "".join(map(line, rows)).encode()
+        with (tmp_path / "predictions.csv").open(newline="") as fh:
+            assert list(csv.reader(fh)) == rows
 
     def test_removal_percentage_exact(self):
         d = tiny_dataset(n=40, seed=2)

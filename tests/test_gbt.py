@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,20 @@ def assert_gbt_train_matches_reference(tmp_path, cfg):
     assert model.train_mse == ref.train_mse
 
 
+# Ids "<max_depth>-<min_child_weight>" for the depth and weight grid, then
+# one case per regularizer at a value that changes which columns count.
+SYNTH_CONFIGS = [
+    *(
+        pytest.param({"max_depth": depth, "min_child_weight": weight}, id=f"{depth}-{weight}")
+        for depth in (1, 2, 6)
+        for weight in (0.0, 1.5)
+    ),
+    pytest.param({"reg_lambda": 0.0}, id="reg_lambda=0.0"),
+    pytest.param({"gamma": 0.5}, id="gamma=0.5"),
+    pytest.param({"min_child_weight": 3.0}, id="min_child_weight=3.0"),
+]
+
+
 class TestMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(unit_hessian_problems())
@@ -267,11 +282,21 @@ class TestMatchesReference:
     def test_gbt_train_bit_identical_on_synth(self, tmp_path):
         assert_gbt_train_matches_reference(tmp_path, GbtConfig(n_trees=20))
 
-    @pytest.mark.parametrize("min_child_weight", [0.0, 1.5])
-    @pytest.mark.parametrize("max_depth", [1, 2, 6])
-    def test_gbt_train_bit_identical_on_synth_configs(self, tmp_path, max_depth, min_child_weight):
-        cfg = GbtConfig(n_trees=20, max_depth=max_depth, min_child_weight=min_child_weight)
-        assert_gbt_train_matches_reference(tmp_path, cfg)
+    @pytest.mark.parametrize("params", SYNTH_CONFIGS)
+    def test_gbt_train_bit_identical_on_synth_configs(self, tmp_path, params):
+        assert_gbt_train_matches_reference(tmp_path, GbtConfig(n_trees=20, **params))
+
+    @pytest.mark.parametrize(
+        "params", [{"reg_lambda": 0.0}, {"min_child_weight": 3.0}], ids=["reg_lambda=0.0", "min_child_weight=3.0"]
+    )
+    def test_gbt_train_on_synth_raises_no_runtime_warning(self, params):
+        """No column of a node's block divides by zero or makes a NaN, not
+        even the ones that are no candidate."""
+        dataset, _ = generate_synthetic(SyntheticConfig(n_rows=2000, seed=1))
+        sub = align_horizon(dataset, 32).slice_rows(0, 1200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gbt_train(sub, GbtConfig(n_trees=20, **params))
 
 
 class TestTreeNode:
