@@ -225,8 +225,20 @@ def _get(args, name: str, fallback):
     return fallback if value is None else value
 
 
-def _out_dir(args) -> Path:
+def _out_path(args) -> Path:
+    """--out (default "."), not yet made. A regular file at it or above it is
+    refused here, so that a command that fits models can fail before it fits."""
     out = Path(_get(args, "out", "."))
+    for there in (out, *out.parents):
+        if there.exists() and not there.is_dir():
+            raise NotADirectoryError(f"--out {out}: {there} is not a directory")
+    return out
+
+
+def _out_dir(args) -> Path:
+    """Make --out. Each command calls this only after its work has succeeded,
+    so a command that fails leaves no --out behind."""
+    out = _out_path(args)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -266,9 +278,8 @@ def _kind_config(args, kind: str, horizon: int):
 
 
 def cmd_synth(args) -> None:
-    cfg = _config(args, "synth")
+    dataset, truth = generate_synthetic(_config(args, "synth"))
     out = _out_dir(args)
-    dataset, truth = generate_synthetic(cfg)
     save_csv(dataset, out / "dataset.csv")
     save_truth_json(truth, dataset, out / "truth.json")
     print(f"wrote {out / 'dataset.csv'} ({dataset.n_rows} rows)")
@@ -281,8 +292,9 @@ def cmd_train(args) -> None:
         raise UsageError(f"--model must be one of {', '.join(KINDS)}, got {kind!r}")
     aligned, horizon = _aligned(args)
     cfg = _kind_config(args, kind, horizon)
-    out = _out_dir(args)
+    _out_path(args)
     model = KINDS[kind].train(aligned, cfg)
+    out = _out_dir(args)
     save_model(model, horizon, out / "model.json")
     print(f"wrote {out / 'model.json'} (kind={kind}, horizon={horizon})")
 
@@ -342,8 +354,9 @@ def cmd_evaluate(args) -> None:
             raise UsageError(f"--models lists {name!r} more than once")
     aligned, horizon, folds, options = _backtest(args)
     specs = [model_spec(name, _kind_config(args, name, horizon)) for name in names]
-    out = _out_dir(args)
+    _out_path(args)
     report = evaluate(specs, aligned, folds, **options)
+    out = _out_dir(args)
     report.save(out)
     print(report.format_table())
     print(f"wrote {out / 'report.csv'}, {out / 'report.txt'}, {out / 'predictions.csv'}")
@@ -358,14 +371,15 @@ def cmd_explain(args) -> None:
     row = getattr(args, "row", None)
     if row is not None and row >= d.n_rows:
         raise InvalidArgumentError(f"--row {row} out of range for {d.n_rows} rows")
-    out = _out_dir(args)
     if row is None:
+        out = _out_dir(args)
         save_global_explanation(model, d, out)
         print(f"wrote {out / 'importance.csv'}, {out / 'shapes.csv'}")
     else:
         x = d.features[row]
         rows = [*explain_local(model, x), ("__intercept__", model.intercept)]
         rows.append(("__prediction__", ebm_predict(model, x)))
+        out = _out_dir(args)
         write_csv(out / "local_explanation.csv", ["feature", "contribution"], list(zip(*rows)))
         print(f"wrote {out / 'local_explanation.csv'}")
 
@@ -403,11 +417,12 @@ def cmd_grid(args) -> None:
     names = [name for name, _ in grid]
     combos = list(itertools.product(*(values for _, values in grid)))
     specs = [model_spec(kind, _config(args, kind, **dict(zip(names, c)))) for c in combos]
-    out = _out_dir(args)
+    _out_path(args)
     results = [
         (combo, evaluate([spec], aligned, folds, **options).rows[0].metrics)
         for combo, spec in zip(combos, specs)
     ]
+    out = _out_dir(args)
     results.sort(key=lambda r: (r[1].mae, r[0]))
     rows = [(*combo, m.mae, m.rmse, m.r2) for combo, m in results]
     write_csv(out / "grid.csv", [*names, "mae", "rmse", "r2"], list(zip(*rows)))

@@ -22,10 +22,11 @@ the rows, over every column of its contiguous block; the Hessian sums on
 either side of a candidate are row counts, so ``min_child_weight`` is a
 range of candidate positions, and one mask drops ties and the columns
 outside it. A child that must be a leaf (at max_depth, or one row) gets no
-blocks. Splits and batch predictions read each feature as one contiguous row
-of x.T. Batch prediction scores each tree of at most 64 leaves by bitvectors
-over per-feature threshold codes (QuickScorer); a larger tree partitions its
-rows first."""
+blocks. Splits read each feature as one contiguous row of x.T. Batch
+prediction reads the columns of x in place, holds one tree's layout at a
+time and scores each tree of at most 64 leaves by bitvectors over
+per-feature threshold codes (QuickScorer), in row-sized scratch arrays
+allocated once per call; a larger tree partitions its rows first."""
 
 from __future__ import annotations
 
@@ -95,54 +96,62 @@ class TreeNode(NamedTuple):
 _WORD, _ALL, _BIAS = 64, 2**64 - 1, 1023
 
 
-def _layout(node: TreeNode, lr: float, outputs: list, nodes: list, thresholds: dict) -> None:
+def _layout(node: TreeNode, lr: float, outputs: list, nodes: list) -> None:
     """Append lr times each leaf weight under ``node`` to ``outputs``, left to
     right, and its splits to ``nodes`` in pre-order as (feature, threshold, bits
-    of its left leaves, its first right leaf), each threshold to ``thresholds``
-    under its feature."""
+    of its left leaves, its first right leaf)."""
     if node.weight is not None:
         outputs.append(lr * node.weight)
         return
     if node.threshold != node.threshold:  # NaN: every row goes right
-        return _layout(node.right, lr, outputs, nodes, thresholds)
+        return _layout(node.right, lr, outputs, nodes)
     at, first = len(nodes), len(outputs)
     nodes.append(None)
-    thresholds.setdefault(node.feature, []).append(node.threshold)
-    _layout(node.left, lr, outputs, nodes, thresholds)
+    _layout(node.left, lr, outputs, nodes)
     mid = len(outputs)
     nodes[at] = (node.feature, node.threshold, (1 << mid) - (1 << first), mid)
-    _layout(node.right, lr, outputs, nodes, thresholds)
+    _layout(node.right, lr, outputs, nodes)
 
 
-def _score_tree(leaves, nodes, i, lo, hi, codes, cols, acc, rows) -> None:
+def _score_tree(leaves, nodes, i, lo, hi, codes, x, acc, rows, scratch) -> None:
     """Add to ``acc[rows]`` (``rows`` is ... for every row) the outputs of the
     leaves lo .. hi-1 that the rows reach below ``nodes[i]``; leaf k's is
     ``leaves[_BIAS + k]``. Up to _WORD leaves this is QuickScorer (Lucchese et
     al., SIGIR 2015): each test a row fails clears its node's left leaves from
     the row's bits, the lowest bit left is the exit leaf, and the tests failed
     on a feature, a prefix in threshold order, are one table entry. More
-    leaves partition rows first."""
+    leaves partition rows first. ``scratch`` holds two uint64 arrays and a
+    float64 one, each at least as long as ``acc``."""
     if hi - lo == 1:
         acc[rows] += leaves[_BIAS + lo]
     elif hi - lo > _WORD:
         feature, threshold, _, mid = nodes[i]
-        mask = cols[feature][rows] <= threshold
+        mask = x[rows, feature] <= threshold
         pick = np.flatnonzero if rows is ... else rows.__getitem__
         # A subtree of k leaves has k - 1 internal nodes, in pre-order.
-        _score_tree(leaves, nodes, i + 1, lo, mid, codes, cols, acc, pick(mask))
-        _score_tree(leaves, nodes, i + mid - lo, mid, hi, codes, cols, acc, pick(~mask))
+        _score_tree(leaves, nodes, i + 1, lo, mid, codes, x, acc, pick(mask), scratch)
+        _score_tree(leaves, nodes, i + mid - lo, mid, hi, codes, x, acc, pick(~mask), scratch)
     else:
-        tests, bits = {}, None
+        n = acc.size if rows is ... else rows.size
+        bits, spare, out = (a[:n] for a in scratch)
+        tests = {}
         for feature, threshold, left, _ in nodes[i : i + hi - lo - 1]:
             tests.setdefault(feature, []).append((threshold, _ALL ^ (left >> lo)))
-        for feature, pairs in tests.items():
+        for k, (feature, pairs) in enumerate(tests.items()):
             reps, inv = codes[feature]
             thresholds, clears = zip(*sorted(pairs))
             table = np.array([*accumulate(clears, and_, initial=_ALL)], dtype=np.uint64)
-            row_bits = table[np.array(thresholds).searchsorted(reps)].take(inv if rows is ... else inv[rows])
-            bits = row_bits if bits is None else np.bitwise_and(bits, row_bits, out=bits)
-        bits &= -bits  # the lowest set bit, exact as a float
-        acc[rows] += leaves[lo:].take(bits.astype(np.float64).view(np.int64) >> 52)
+            # mode="clip" writes into ``out`` directly; "raise" would buffer it.
+            table[np.array(thresholds).searchsorted(reps)].take(
+                inv if rows is ... else inv[rows], out=spare if k else bits, mode="clip"
+            )
+            if k:
+                np.bitwise_and(bits, spare, out=bits)
+        np.negative(bits, out=spare)
+        bits &= spare  # the lowest set bit, exact as a float
+        np.copyto(out, bits)
+        index = np.right_shift(out.view(np.int64), 52, out=spare.view(np.int64))
+        acc[rows] += leaves[lo:].take(index, out=out, mode="clip")
 
 
 def _fit_constants(x: np.ndarray, reg_lambda: float) -> tuple:
@@ -336,20 +345,29 @@ def gbt_predict(m: GbtModel, x) -> float:
 def gbt_predict_batch(m: GbtModel, x: np.ndarray) -> np.ndarray:
     """gbt_predict of every row, bit for bit. A row's code for a feature counts
     the thresholds of all trees below its value (all of them for NaN); a table
-    has an entry per code present, found by the least threshold not below it."""
+    has an entry per code present, found by the least threshold not below it.
+    Each tree is laid out just before it is scored."""
     x = m.schema.check_features(x, 2)
-    cols, lr = np.ascontiguousarray(x.T), m.config.learning_rate
-    layouts, thresholds = [([], []) for _ in m.trees], {}
-    for tree, layout in zip(m.trees, layouts):
-        _layout(tree, lr, *layout, thresholds)
+    thresholds, stack = {}, list(m.trees)
+    while stack:
+        node = stack.pop()
+        if node.weight is None:
+            if node.threshold == node.threshold:  # NaN: every row goes right
+                thresholds.setdefault(node.feature, []).append(node.threshold)
+                stack.append(node.left)
+            stack.append(node.right)
     codes = {}
     for feature, values in thresholds.items():
         grid = np.unique(values)
-        code = grid.searchsorted(cols[feature])
+        code = grid.searchsorted(x[:, feature])
         seen = np.bincount(code, minlength=grid.size + 1) > 0
         codes[feature] = (np.append(grid, np.nan)[seen], (np.cumsum(seen, dtype=np.intp) - 1)[code])
-    acc = np.full(x.shape[0], m.base_score)
-    for outputs, nodes in layouts:
+    n, lr = x.shape[0], m.config.learning_rate
+    acc = np.full(n, m.base_score)
+    scratch = (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64), np.empty(n))
+    for tree in m.trees:
+        outputs, nodes = [], []
+        _layout(tree, lr, outputs, nodes)
         leaves = np.concatenate((np.zeros(_BIAS), outputs))
-        _score_tree(leaves, nodes, 0, 0, len(outputs), codes, cols, acc, ...)
+        _score_tree(leaves, nodes, 0, 0, len(outputs), codes, x, acc, ..., scratch)
     return acc

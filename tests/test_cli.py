@@ -148,6 +148,41 @@ class TestOutResolvedBeforeFitting:
         assert fits == []
 
 
+# One command per kind of work that fits gbt models through ``KINDS``.
+GBT_COMMANDS = {
+    "train": ["train", "--model", "gbt"],
+    "evaluate": ["evaluate", "--models", "naive,gbt", "--initial-train", "400", "--test-len", "134"],
+    "grid": ["grid", "--model", "gbt", "--param", "n_trees=2,3",
+             "--initial-train", "400", "--test-len", "134"],
+}
+
+
+class TestFailedCommandLeavesNoOut:
+    @pytest.mark.parametrize("command", GBT_COMMANDS)
+    def test_failed_fit_exits_4(self, data_dir, tmp_path, monkeypatch, capsys, command):
+        def degenerate(*args, **kwargs):
+            raise errors.DegenerateLeafError("leaf weight undefined: H + lambda = 0.0")
+
+        # The KINDS entries look gbt_train up on the module at call time.
+        monkeypatch.setattr(gbt, "gbt_train", degenerate)
+        out = tmp_path / "out"
+        code = run(*GBT_COMMANDS[command], "--data", str(data_dir / "dataset.csv"), "--out", str(out))
+        assert code == 4
+        assert capsys.readouterr().err == "error: leaf weight undefined: H + lambda = 0.0\n"
+        assert not out.exists()
+
+    def test_naive_fold_without_history_exits_4(self, tmp_path, capsys):
+        assert run("synth", "--n-rows", "300", "--seed", "1", "--out", str(tmp_path / "s")) == 0
+        out = tmp_path / "e"
+        code = run(
+            "evaluate", "--data", str(tmp_path / "s" / "dataset.csv"), "--models", "naive",
+            "--initial-train", "10", "--test-len", "50", "--out", str(out),
+        )
+        assert code == 4
+        assert "need 32 steps of history" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     @pytest.mark.parametrize("kind", ["naive", "gbt", "ebm", "stacked"])
     def test_each_kind_trains(self, data_dir, tmp_path, kind):

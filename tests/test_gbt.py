@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -828,3 +830,56 @@ class TestHandBuiltModels:
         assert counts["complete-64"] == [64]
         assert counts["65-leaves"] == [65]
         assert counts["mixed"] == [1, 64, 129]
+
+
+def traced_peak(fn, *args):
+    """The most memory tracemalloc saw allocated at once during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def batch_reference(model, x):
+    """Base score plus the learning rate times each tree's walked outputs, in
+    tree order, which is gbt_predict's sum for every row."""
+    acc = np.full(len(x), model.base_score)
+    for tree in model.trees:
+        acc += model.config.learning_rate * tree_predict(tree, x)
+    return acc
+
+
+@pytest.fixture(scope="module")
+def spiky_models(aligned_spiky):
+    """The default 300-tree model, and one whose trees have more than 64
+    leaves, fitted on the spiky synth."""
+    deep = gbt_train(aligned_spiky, GbtConfig(n_trees=3, max_depth=9, min_child_weight=0.0))
+    assert max(map(leaf_count, deep.trees)) > 64
+    return {"default": gbt_train(aligned_spiky, GbtConfig()), "deep": deep}
+
+
+class TestBatchReadsInputInPlace:
+    @pytest.mark.parametrize("model", ["default", "deep"])
+    @pytest.mark.parametrize("layout", ["fortran", "reversed", "leading-columns"])
+    def test_not_c_contiguous_matches_walk(self, aligned_spiky, spiky_models, model, layout):
+        m = spiky_models[model]
+        x = aligned_spiky.features[:600]
+        if layout == "fortran":
+            rows = np.asfortranarray(x)
+        elif layout == "reversed":
+            rows = x[::-1]
+        else:
+            rows = np.hstack([x, -x])[:, : x.shape[1]]
+        assert not rows.flags.c_contiguous
+        assert np.array_equal(bits(gbt_predict_batch(m, rows)), bits(batch_reference(m, rows)))
+
+    def test_holds_one_tree_layout_at_a_time(self, aligned_spiky, spiky_models):
+        # Laying out every tree before scoring any adds about 5 kB per tree.
+        m = spiky_models["default"]
+        x = aligned_spiky.features
+        few = dataclasses.replace(m, trees=m.trees[:30])
+        gbt_predict_batch(few, x)  # the first call in a process keeps about 1 MB
+        extra = traced_peak(gbt_predict_batch, m, x) - traced_peak(gbt_predict_batch, few, x)
+        assert extra < 250_000
