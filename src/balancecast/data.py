@@ -196,9 +196,8 @@ def align_horizon(d: Dataset, horizon_steps: int) -> Dataset:
 
 
 # Rows that load_csv parses and write_csv formats at a time: each holds one
-# chunk's lines and cells, never the whole file's. At 1,024 rows a chunk's
-# strings take less memory than a year-long file's arrays, so they do not
-# raise load_csv's peak.
+# chunk's lines and cells, never the whole file's. load_csv parses each chunk
+# into the dataset's own arrays, so its peak is those arrays plus one chunk.
 _CSV_CHUNK_ROWS = 1024
 
 
@@ -387,6 +386,20 @@ def _raise_first_error(path, header: list[str], rows, first_row_no: int) -> None
                 )
 
 
+def _line_breaks(path) -> int:
+    """How many "\n" and "\r" bytes the file at ``path`` holds, read 64 KiB at
+    a time: a row takes at least one line, so this bounds the data rows."""
+    block = bytearray(1 << 16)
+    codes = np.frombuffer(block, np.uint8)
+    breaks = 0
+    with Path(path).open("rb") as fh:
+        while size := fh.readinto(block):
+            breaks += int(np.count_nonzero(codes[:size] == 10))
+            if block.find(b"\r", 0, size) >= 0:  # a memchr, cheaper than a count
+                breaks += int(np.count_nonzero(codes[:size] == 13))
+    return breaks
+
+
 def _header_schema(path, header: list[str]) -> FeatureSchema:
     """The schema of a ``timestamp,<features...>,target`` header of unique
     names that csv writes unquoted; any other header raises SchemaError."""
@@ -412,7 +425,7 @@ def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
     to parse (bytes that are not UTF-8 among them), or parse to non-finite
     values, timestamps outside int64 and rows the csv reader rejects (a
     field over its size limit) raise IngestError with the 1-based data row
-    number, or naming the header.
+    number, or naming the header; so does a file that grows as it is read.
     """
     path = Path(path)
     # Undecodable bytes become lone surrogates, which no number parses, so
@@ -440,16 +453,23 @@ def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
                 f"{path}: header {header!r} does not match expected {expected!r}"
             )
         p = len(schema)
-        chunks = [(np.empty(0, dtype=np.int64), np.empty((0, p + 1)))]
-        chunks.extend(_read_rows(path, fh, expected))
-
-    timestamps = np.concatenate([stamps for stamps, _ in chunks])
-    values = np.concatenate([block for _, block in chunks])
-    chunks.clear()  # hold one copy of the cells; a file in order is not copied again
+        # Rows that parse take a line each and 2k - 1 bytes: k cells, none empty, k - 1 commas.
+        bound = min(_line_breaks(path), path.stat().st_size // (2 * len(expected) - 1))
+        timestamps, target = np.empty(bound, np.int64), np.empty(bound)
+        features = np.empty((bound, p))
+        n = 0
+        for stamps, block in _read_rows(path, fh, expected):
+            end = n + len(stamps)
+            if end > bound:
+                raise IngestError(f"{path}: file grew while it was read: more than {bound} rows")
+            timestamps[n:end], features[n:end], target[n:end] = stamps, block[:, :p], block[:, p]
+            n = end
+    # The rows past n were never written, so their pages hold no memory.
+    timestamps, features, target = timestamps[:n], features[:n], target[:n]
     step = np.diff(timestamps)
     if (step <= 0).any():
         order = np.argsort(timestamps, kind="stable")
-        timestamps, values = timestamps[order], values[order]
+        timestamps, features, target = timestamps[order], features[order], target[order]
         step = np.diff(timestamps)
     if (step == 0).any():
         dup = int(timestamps[int(np.argmax(step == 0))])
@@ -457,12 +477,7 @@ def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
     if (step != 1).any():
         after = int(timestamps[int(np.argmax(step != 1))])
         raise GridError(f"{path}: timestamp gap after quarter {after}")
-    return Dataset(
-        timestamps=timestamps,
-        features=values[:, :p],
-        target=values[:, p],
-        schema=schema,
-    )
+    return Dataset(timestamps=timestamps, features=features, target=target, schema=schema)
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +567,16 @@ def synthetic_schema() -> FeatureSchema:
 def _ar1(rng: np.random.Generator, n: int, rho: float, sd: float) -> np.ndarray:
     """Stationary AR(1) path with innovation scale sd."""
     stationary_sd = sd / np.sqrt(1.0 - rho * rho)
-    innovations = rng.normal(0.0, sd, size=n).tolist()
-    # Python floats: the same IEEE operations as on numpy scalars, far faster.
-    x = [rng.normal(0.0, stationary_sd)]
-    for e in innovations[1:]:
-        x.append(rho * x[-1] + e)
-    return np.array(x)
+    innovations = rng.normal(0.0, sd, size=n)
+
+    def path(x: float):
+        # Python floats: the same IEEE operations as on numpy scalars, far faster.
+        yield x
+        for e in memoryview(innovations[1:]):
+            x = rho * x + e
+            yield x
+
+    return np.fromiter(path(rng.normal(0.0, stationary_sd)), np.float64, n)
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, SyntheticTruth]:
@@ -632,22 +651,13 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, SyntheticTruth]:
         "wind": wind,
         "heating": heating,
     }
+    features = np.empty((n, len(SYNTHETIC_FEATURES)))
+    column = dict(zip(SYNTHETIC_FEATURES, features.T))
     # Forecast copies of each driver, in the fixed order above.
-    forecast = {
-        name: values + rng.normal(0.0, cfg.noise_sd, size=n)
-        for name, values in true_drivers.items()
-    }
-
-    hour_sin, hour_cos = encode_cyclical(hour, 24.0)
-    month_sin, month_cos = encode_cyclical(month, 12.0)
-    columns = {
-        **forecast,
-        "hour_sin": hour_sin,
-        "hour_cos": hour_cos,
-        "month_sin": month_sin,
-        "month_cos": month_cos,
-    }
-    features = np.column_stack([columns[name] for name in SYNTHETIC_FEATURES])
+    for name, values in true_drivers.items():
+        np.add(values, rng.normal(0.0, cfg.noise_sd, size=n), out=column[name])
+    column["hour_sin"][:], column["hour_cos"][:] = encode_cyclical(hour, 24.0)
+    column["month_sin"][:], column["month_cos"][:] = encode_cyclical(month, 12.0)
     dataset = Dataset(
         timestamps=ts, features=features, target=target, schema=synthetic_schema()
     )

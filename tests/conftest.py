@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,13 @@ def bin_centers(bins, j):
     for the edges."""
     edges = np.concatenate(([bins.vmin[j]], bins.cuts[j], [bins.vmax[j]]))
     return (edges[:-1] + edges[1:]) / 2.0
+
+
+def traced_peak(fn, *args):
+    """The most memory tracemalloc saw allocated at once during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

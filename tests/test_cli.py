@@ -349,6 +349,18 @@ class TestPredict:
         assert code == 3
         assert "row 5: bad timestamp '99999999999999999999'" in capsys.readouterr().err
 
+    def test_file_that_grows_while_read_exits_3(self, data_dir, tmp_path, monkeypatch, capsys):
+        # load_csv sizes its arrays from the line breaks it counts first; a
+        # count of 100 stands in for rows appended after that count.
+        monkeypatch.setattr("balancecast.data._line_breaks", lambda path: 100)
+        path, out = data_dir / "dataset.csv", tmp_path / "m"
+        code = run("train", "--data", str(path), "--model", "naive", "--out", str(out))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: file grew while it was read: more than 100 rows\n"
+        )
+        assert not out.exists()
+
     def test_field_over_csv_size_limit_exits_3(self, data_dir, tmp_path):
         assert run(
             "train", "--data", str(data_dir / "dataset.csv"), "--model", "naive",

@@ -26,12 +26,19 @@ from balancecast import (
     synthetic_schema,
 )
 from balancecast.data import (
+    QUARTERS_PER_DAY,
+    SYNTHETIC_COMPONENTS,
     SYNTHETIC_FEATURES,
+    SyntheticTruth,
     _ar1,
     heating_price_response,
+    hour_of_day,
     hydro_price_response,
+    month_index,
     truth_table,
 )
+
+from conftest import traced_peak
 
 
 def small_schema(p=2):
@@ -645,6 +652,60 @@ class TestCsvAgainstReference:
             load_csv(path, small_schema())
 
 
+class TestLoadIntoDatasetArrays:
+    """load_csv counts the file's line breaks, sizes the dataset's arrays
+    from them and parses each chunk straight into those arrays."""
+
+    def test_peak_is_the_arrays_plus_a_chunk(self, tmp_path):
+        # Holding the parsed chunks and their concatenation at once peaks at
+        # 2.1 times the arrays. At 20,000 rows a chunk's strings alone come
+        # near 1.5 times, so the file is larger.
+        d, _ = generate_synthetic(SyntheticConfig(n_rows=100_000, seed=1))
+        path = tmp_path / "d.csv"
+        save_csv(d, path)
+        loaded = load_csv(path)
+        arrays = loaded.timestamps.nbytes + loaded.features.nbytes + loaded.target.nbytes
+        assert traced_peak(load_csv, path) <= 1.5 * arrays
+
+    def test_line_breaks_count_every_cr_and_lf(self, tmp_path):
+        # A "\r\n", a "\n\r" or a "\r" ends at each power-of-two offset, so
+        # some straddle the blocks the file is read in, and the last block is
+        # shorter than the one before it.
+        text = bytearray(b"x" * ((1 << 19) + 1))
+        for k in range(4, 20):
+            text[(1 << k) - 1 : (1 << k) + 1] = [b"\r\n", b"\n\r", b"\rx"][k % 3]
+        path = tmp_path / "d.csv"
+        path.write_bytes(bytes(text) + b"a\r\nb\rc\n\nd\r")
+        assert data._line_breaks(path) == text.count(b"\n") + text.count(b"\r") + 6
+
+    def test_blank_lines_do_not_size_the_arrays(self, tmp_path):
+        # A row of 1,002 cells takes 2,003 bytes, so 2,000,000 blank lines
+        # (2 MB) bound the rows at 1,000, not at 2,000,000 (15 GiB of arrays).
+        path = tmp_path / "d.csv"
+        header = ["timestamp", *(f"f{i}" for i in range(1000)), "target"]
+        path.write_text(",".join(header) + "\n" * 2_000_001)
+
+        def load():
+            with pytest.raises(IngestError, match="row 1 has 0 cells, expected 1002"):
+                load_csv(path)
+
+        assert traced_peak(load) < 50_000_000
+
+    def test_rows_up_to_the_bound_load(self, tmp_path):
+        path = csv_file(tmp_path / "d.csv", 3000)
+        with mock.patch.object(data, "_line_breaks", return_value=3000):
+            d = load_csv(path, small_schema())
+        assert d.n_rows == 3000 and d.timestamps[-1] == 2999
+
+    def test_rows_past_the_bound_are_ingest_error(self, tmp_path):
+        # A file that gains rows between the count and the parse.
+        path = csv_file(tmp_path / "d.csv", 3000)
+        with mock.patch.object(data, "_line_breaks", return_value=2999):
+            with pytest.raises(IngestError) as exc:
+                load_csv(path, small_schema())
+        assert str(exc.value) == f"{path}: file grew while it was read: more than 2999 rows"
+
+
 class TestAlignHorizon:
     def test_index_shift_by_hand(self):
         d = make_dataset(
@@ -775,3 +836,104 @@ def test_ar1_matches_array_reference(n, rho, sd):
     got = _ar1(np.random.default_rng(n), n, rho, sd)
     want = reference_ar1(np.random.default_rng(n), n, rho, sd)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def reference_generate_synthetic(cfg):
+    """generate_synthetic building its features from a forecast dict, the
+    cyclical columns and one column_stack, with the array-stepping AR(1)."""
+    n = cfg.n_rows
+    rng = np.random.default_rng(cfg.seed)
+    ts = np.arange(n, dtype=np.int64)
+    hour = hour_of_day(ts)
+    month = month_index(ts).astype(np.float64)
+
+    def swell(period_days):
+        return np.sin(2.0 * np.pi * ts / (QUARTERS_PER_DAY * period_days))
+
+    spot = (
+        40.0
+        + 12.0 * np.sin(2.0 * np.pi * (hour - 8.5) / 24.0)
+        + 7.0 * swell(2.7)
+        + reference_ar1(rng, n, 0.97, 1.2)
+    )
+    consumption = (
+        640.0
+        + 120.0 * np.sin(2.0 * np.pi * (hour - 18.5) / 24.0)
+        + 30.0 * swell(5.0)
+        + reference_ar1(rng, n, 0.95, 5.0)
+    )
+    hydro = 320.0 + 55.0 * swell(3.3) + 25.0 * swell(1.37) + reference_ar1(rng, n, 0.97, 3.0)
+    wind = np.maximum(0.0, 85.0 + 30.0 * swell(2.2) + reference_ar1(rng, n, 0.95, 6.0))
+    temp = (
+        8.0
+        + 7.0 * np.sin(2.0 * np.pi * (hour - 15.0) / 24.0)
+        + 3.0 * swell(4.1)
+        + reference_ar1(rng, n, 0.97, 0.6)
+    )
+    heating = 3.0 * np.maximum(0.0, 16.0 - temp)
+
+    spike_indicator = rng.random(n) < cfg.spike_prob
+    spike_magnitude = cfg.spike_scale * (1.0 + rng.exponential(1.0, size=n))
+    noise = rng.normal(0.0, cfg.noise_sd, size=n)
+
+    base = spot + hydro_price_response(hydro) + heating_price_response(heating)
+    target = base + np.where(spike_indicator, spike_magnitude, 0.0) + noise
+
+    true_drivers = {
+        "spot": spot,
+        "consumption": consumption,
+        "hydro": hydro,
+        "wind": wind,
+        "heating": heating,
+    }
+    forecast = {
+        name: values + rng.normal(0.0, cfg.noise_sd, size=n)
+        for name, values in true_drivers.items()
+    }
+    hour_sin, hour_cos = encode_cyclical(hour, 24.0)
+    month_sin, month_cos = encode_cyclical(month, 12.0)
+    columns = {
+        **forecast,
+        "hour_sin": hour_sin,
+        "hour_cos": hour_cos,
+        "month_sin": month_sin,
+        "month_cos": month_cos,
+    }
+    features = np.column_stack([columns[name] for name in SYNTHETIC_FEATURES])
+    dataset = Dataset(
+        timestamps=ts, features=features, target=target, schema=synthetic_schema()
+    )
+    truth = SyntheticTruth(
+        base_target=base,
+        spike_indicator=spike_indicator,
+        spike_magnitude=np.where(spike_indicator, spike_magnitude, 0.0),
+        true_drivers=true_drivers,
+        components=dict(SYNTHETIC_COMPONENTS),
+    )
+    return dataset, truth
+
+
+def synthetic_arrays(dataset, truth):
+    """Every array of a generated dataset and its truth, as bytes."""
+    arrays = {
+        "timestamps": dataset.timestamps,
+        "features": dataset.features,
+        "target": dataset.target,
+        "base_target": truth.base_target,
+        "spike_indicator": truth.spike_indicator,
+        "spike_magnitude": truth.spike_magnitude,
+        **{f"true_drivers[{name!r}]": a for name, a in truth.true_drivers.items()},
+    }
+    return {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 97, 2000, 35040])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generate_synthetic_matches_reference(seed, n_rows):
+    cfg = SyntheticConfig(n_rows=n_rows, seed=seed)
+    dataset, truth = generate_synthetic(cfg)
+    want_dataset, want_truth = reference_generate_synthetic(cfg)
+    assert dataset.features.flags.c_contiguous
+    assert dataset.schema == want_dataset.schema
+    assert truth.components == want_truth.components
+    assert synthetic_arrays(dataset, truth) == synthetic_arrays(want_dataset, want_truth)

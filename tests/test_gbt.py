@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +29,7 @@ from balancecast import (
 from balancecast.data import SyntheticConfig, align_horizon, generate_synthetic
 from balancecast.persistence import save_model, tree_to_dict
 
-from conftest import split_gain, tree_depth, tree_predict
+from conftest import split_gain, traced_peak, tree_depth, tree_predict
 
 
 def schema_for(p):
@@ -830,16 +829,6 @@ class TestHandBuiltModels:
         assert counts["complete-64"] == [64]
         assert counts["65-leaves"] == [65]
         assert counts["mixed"] == [1, 64, 129]
-
-
-def traced_peak(fn, *args):
-    """The most memory tracemalloc saw allocated at once during ``fn(*args)``."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def batch_reference(model, x):
