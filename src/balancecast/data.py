@@ -387,16 +387,21 @@ def _raise_first_error(path, header: list[str], rows, first_row_no: int) -> None
 
 
 def _line_breaks(path) -> int:
-    """How many "\n" and "\r" bytes the file at ``path`` holds, read 64 KiB at
-    a time: a row takes at least one line, so this bounds the data rows."""
+    """How many line breaks ("\n", "\r\n" or a "\r" alone) the file at
+    ``path`` holds, read 64 KiB at a time: a row takes at least one line, so
+    this bounds the data rows."""
     block = bytearray(1 << 16)
     codes = np.frombuffer(block, np.uint8)
-    breaks = 0
+    breaks, cr_ended = 0, False
     with Path(path).open("rb") as fh:
         while size := fh.readinto(block):
             breaks += int(np.count_nonzero(codes[:size] == 10))
             if block.find(b"\r", 0, size) >= 0:  # a memchr, cheaper than a count
                 breaks += int(np.count_nonzero(codes[:size] == 13))
+                breaks -= block.count(b"\r\n", 0, size)
+            if cr_ended and block[0] == 10:  # a "\r\n" split between two blocks
+                breaks -= 1
+            cr_ended = block[size - 1] == 13
     return breaks
 
 

@@ -94,6 +94,9 @@ class TreeNode(NamedTuple):
 
 # Leaves per uint64 bitvector, all its bits, and the float 2.0**k's exponent field less k.
 _WORD, _ALL, _BIAS = 64, 2**64 - 1, 1023
+# The most splits on any root-to-leaf path that _layout and _score_tree, one
+# call per level, walk within Python's default recursion limit of 1,000.
+MAX_DEPTH = 980
 
 
 def _layout(node: TreeNode, lr: float, outputs: list, nodes: list) -> None:

@@ -44,15 +44,21 @@ def _blocks_from_dict(doc: dict, config_type: type) -> dict:
     }
 
 
-def tree_to_dict(node: gbt.TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
+def tree_to_lists(root: gbt.TreeNode) -> dict:
+    """A tree as two parallel pre-order lists (a node, then its left subtree,
+    then its right one): ``feature`` holds each split's schema index and -1
+    at a leaf, ``value`` the split's threshold or the leaf's weight."""
+    features, values, stack = [], [], [root]
+    while stack:
+        node = stack.pop()
+        if node.weight is None:
+            features.append(node.feature)
+            values.append(node.threshold)
+            stack += node.right, node.left
+        else:
+            features.append(-1)
+            values.append(node.weight)
+    return {"feature": features, "value": values}
 
 
 def _finite(value) -> float:
@@ -63,13 +69,58 @@ def _finite(value) -> float:
     return float(value)
 
 
-def _finite_array(values) -> np.ndarray:
-    return np.array([_finite(v) for v in values], dtype=np.float64)
+def _finite_list(values) -> list[float]:
+    """A JSON list of finite numbers as floats, by the rules of _finite; any
+    other value or entry raises SchemaError."""
+    if type(values) is not list:
+        raise SchemaError(f"expected a JSON list of numbers, got {values!r}")
+    if {float, int}.issuperset(map(type, values)):
+        floats = list(map(float, values))
+        if all(map(math.isfinite, floats)):
+            return floats
+    return [_finite(v) for v in values]  # raises at the first bad entry
+
+
+def tree_from_lists(doc: dict, n_features: int) -> gbt.TreeNode:
+    """The tree that tree_to_lists wrote, decoded in one pass from its last
+    node back: a leaf is pushed, and a split takes the top two subtrees as
+    its left and right. Unequal or empty lists, lists that are not the
+    pre-order of one tree, a feature that is not -1 or a schema index, a
+    value that is not a finite JSON number, or a path of more than
+    ``gbt.MAX_DEPTH`` splits raise SchemaError."""
+    features, values = doc["feature"], _finite_list(doc["value"])
+    n = len(features)
+    if n != len(values) or not n:
+        raise SchemaError(f"a tree has {n} features and {len(values)} values")
+    types_ok = {int}.issuperset(map(type, features))
+    if not types_ok or not -1 <= min(features) <= max(features) < n_features:
+        bad = next(f for f in features if type(f) is not int or not -1 <= f < n_features)
+        raise SchemaError(f"bad tree feature {bad!r} of {n_features}")
+    # The subtrees built so far, the last on top, and the height of each.
+    built, heights, node = [], [], gbt.TreeNode
+    for feature, value in zip(reversed(features), reversed(values)):
+        if feature < 0:
+            built.append(node(value))
+            heights.append(0)
+            continue
+        if len(built) < 2:
+            raise SchemaError(f"a tree's {n} nodes are not one pre-order: a split lacks a child")
+        height = max(heights.pop(), heights.pop()) + 1
+        if height > gbt.MAX_DEPTH:
+            raise SchemaError(f"a tree is deeper than {gbt.MAX_DEPTH} splits")
+        left = built.pop()
+        built.append(node(None, feature, value, left, built.pop()))
+        heights.append(height)
+    if len(built) > 1:
+        raise SchemaError(f"a tree's {n} nodes are not one pre-order: {len(built)} subtrees")
+    return built[0]
 
 
 def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
-    """A tree whose splits use features ``0 .. n_features - 1``; a bad index, or
-    a threshold or weight that is not a finite JSON number, raises SchemaError."""
+    """A tree nested as earlier versions wrote it (a leaf ``{"weight"}``, a
+    split ``{"feature", "threshold", "left", "right"}``) whose splits use
+    features ``0 .. n_features - 1``; a bad index, or a threshold or weight
+    that is not a finite JSON number, raises SchemaError."""
     if "weight" in doc:
         return gbt.TreeNode(_finite(doc["weight"]))
     feature, threshold = doc["feature"], _finite(doc["threshold"])
@@ -79,11 +130,18 @@ def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
     return gbt.TreeNode(None, feature, threshold, left, right)
 
 
+def _tree(doc, n_features: int) -> gbt.TreeNode:
+    """A ``trees`` entry: flat lists if its ``feature`` is a list, else nested."""
+    if type(doc) is dict and type(doc.get("feature")) is list:
+        return tree_from_lists(doc, n_features)
+    return tree_from_dict(doc, n_features)
+
+
 def gbt_to_dict(m: gbt.GbtModel) -> dict:
     return {
         "base_score": m.base_score,
         **_blocks(m),
-        "trees": [tree_to_dict(t) for t in m.trees],
+        "trees": [tree_to_lists(t) for t in m.trees],
     }
 
 
@@ -91,7 +149,7 @@ def gbt_from_dict(doc: dict) -> gbt.GbtModel:
     blocks = _blocks_from_dict(doc, gbt.GbtConfig)
     n_features = len(blocks["schema"])
     return gbt.GbtModel(
-        trees=tuple(tree_from_dict(t, n_features) for t in doc["trees"]),
+        trees=tuple(_tree(t, n_features) for t in doc["trees"]),
         base_score=_finite(doc["base_score"]),
         **blocks,
     )
@@ -116,11 +174,11 @@ def ebm_from_dict(doc: dict) -> ebm.EbmModel:
     SchemaError."""
     blocks = _blocks_from_dict(doc, ebm.EbmConfig)
     bins = ebm.BinMap(
-        cuts=tuple(_finite_array(c) for c in doc["bins"]["cuts"]),
-        vmin=tuple(_finite(v) for v in doc["bins"]["vmin"]),
-        vmax=tuple(_finite(v) for v in doc["bins"]["vmax"]),
+        cuts=tuple(np.array(_finite_list(c)) for c in doc["bins"]["cuts"]),
+        vmin=tuple(_finite_list(doc["bins"]["vmin"])),
+        vmax=tuple(_finite_list(doc["bins"]["vmax"])),
     )
-    values = [_finite_array(v) for v in doc["shapes"]]
+    values = [np.array(_finite_list(v)) for v in doc["shapes"]]
     n_features = len(blocks["schema"])
     if not len(values) == len(bins.cuts) == len(bins.vmin) == len(bins.vmax) == n_features:
         raise SchemaError(

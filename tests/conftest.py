@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from balancecast import SyntheticConfig, align_horizon, generate_synthetic
+from balancecast import KINDS, SyntheticConfig, align_horizon, generate_synthetic
 from balancecast.gbt import _score
 
 # Noise-free single-nonlinear-driver series: shape recovery and attribution.
@@ -88,3 +88,32 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# The writer of model files as earlier versions laid them out, one nested
+# JSON object per tree node; load_model must keep reading them.
+# ---------------------------------------------------------------------------
+
+
+def legacy_tree_to_dict(node):
+    """A tree nested as earlier model files held it: a leaf ``{"weight"}``, a
+    split ``{"feature", "threshold", "left", "right"}``."""
+    if node.is_leaf:
+        return {"weight": node.weight}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": legacy_tree_to_dict(node.left),
+        "right": legacy_tree_to_dict(node.right),
+    }
+
+
+def legacy_model_doc(kind, model):
+    """``KINDS[kind].to_dict(model)`` with every tree nested as earlier
+    versions wrote it."""
+    doc = KINDS[kind].to_dict(model)
+    if kind in ("gbt", "stacked"):
+        gbt_doc, gbt_model = (doc, model) if kind == "gbt" else (doc["meta"], model.meta)
+        gbt_doc["trees"] = [legacy_tree_to_dict(t) for t in gbt_model.trees]
+    return doc

@@ -22,6 +22,7 @@ from balancecast import (
 )
 from balancecast.cli import main
 from balancecast.data import align_horizon
+from conftest import legacy_model_doc
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -398,34 +399,60 @@ MALFORMED = {
 }
 
 
-def _split(model):
-    return next(tree for tree in model["trees"] if "feature" in tree)
+def _first(model, leaf):
+    """(tree, index) of the first leaf, or the first split, in the pre-order
+    lists of a gbt model document's trees."""
+    for tree in model["trees"]:
+        for i, feature in enumerate(tree["feature"]):
+            if (feature == -1) == leaf:
+                return tree, i
+    raise AssertionError("no such node")
 
 
-def _leaf(model):
-    node = model["trees"][0]
-    while "weight" not in node:
-        node = node["left"]
-    return node
-
-
-def _set(node, key, value):
+def _set(key, leaf, value):
     def change(model):
-        node(model)[key] = value
+        tree, i = _first(model, leaf)
+        tree[key][i] = value
     return change
+
+
+def _flat_chain(depth):
+    """Flat lists of a tree whose left spine holds ``depth`` splits."""
+    return {"feature": [0] * depth + [-1] * (depth + 1), "value": [0.5] * depth + [1.0] * (depth + 1)}
+
+
+def _first_tree(change):
+    def apply(model):
+        change(model["trees"][0])
+    return apply
 
 
 # Values that a decoder without range checks accepts, after which predict
 # raises an IndexError or quietly predicts garbage; each must exit 3.
 BAD_VALUES = {
-    "gbt-feature-99": ("gbt", _set(_split, "feature", 99)),
-    "gbt-feature-negative": ("gbt", _set(_split, "feature", -1)),
-    "gbt-weight-infinite": ("gbt", _set(_leaf, "weight", math.inf)),
-    "gbt-threshold-nan": ("gbt", _set(_split, "threshold", math.nan)),
+    "gbt-feature-99": ("gbt", _set("feature", False, 99)),
+    "gbt-feature-negative": ("gbt", _set("feature", False, -2)),
+    "gbt-weight-infinite": ("gbt", _set("value", True, math.inf)),
+    "gbt-threshold-nan": ("gbt", _set("value", False, math.nan)),
     "ebm-shape-shorter-than-bins": ("ebm", lambda model: model["shapes"][0].pop()),
     "ebm-fewer-shapes-than-features": ("ebm", lambda model: model["shapes"].pop()),
     "ebm-cuts-unsorted": ("ebm", lambda model: model["bins"]["cuts"][0].reverse()),
     "ebm-cuts-empty": ("ebm", lambda model: model["bins"]["cuts"][0].clear()),
+    # Trees are two parallel pre-order lists, ``feature`` (-1 at a leaf) and
+    # ``value``; these break only that layout.
+    "gbt-feature-true": ("gbt", _set("feature", False, True)),
+    "gbt-feature-past-the-schema": ("gbt", _set("feature", False, len(synthetic_schema()))),
+    "gbt-value-true": ("gbt", _set("value", True, True)),
+    "gbt-value-string": ("gbt", _set("value", False, "0.5")),
+    "gbt-weight-negative-infinite": ("gbt", _set("value", True, -math.inf)),
+    "gbt-lists-unequal": ("gbt", _first_tree(lambda tree: tree["value"].pop())),
+    "gbt-preorder-ends-early": ("gbt", _first_tree(lambda tree: [tree[k].pop() for k in tree])),
+    "gbt-preorder-leaves-nodes-over": (
+        "gbt", _first_tree(lambda tree: [tree[k].append(v) for k, v in (("feature", -1), ("value", 1.0))])
+    ),
+    "gbt-tree-empty": ("gbt", _first_tree(lambda tree: [tree[k].clear() for k in tree])),
+    "gbt-chain-past-the-bound": ("gbt", lambda model: model["trees"].append(_flat_chain(gbt.MAX_DEPTH + 1))),
+    "gbt-chain-5000-deep": ("gbt", lambda model: model["trees"].append(_flat_chain(5000))),
 }
 
 
@@ -489,33 +516,30 @@ class TestMalformedModel:
         assert "Traceback" not in stderr and "nested too deeply" in stderr
 
     def test_tree_980_deep_predicts_the_row_reference(self, data_dir, tmp_path, gbt_doc):
-        # A chain of 980 splits, about as deep as a model file may nest, of
-        # 981 leaves: predict partitions its rows until 64 leaves are left.
-        # The chain zigzags: an even split k sends the rows of spot above
-        # 150 - 0.1 k right to leaf k, an odd one those at or below
-        # -50 + 0.1 k left, so the rows left narrow in on the middle.
+        # A chain of 980 splits, about as deep as a nested model file may
+        # nest and the depth bound of flat ones, of 981 leaves: predict
+        # partitions its rows until 64 leaves are left. The chain zigzags:
+        # an even split k sends the rows of spot above 150 - 0.1 k right to
+        # leaf k, an odd one those at or below -50 + 0.1 k left, so the rows
+        # left narrow in on the middle. Both layouts must predict it.
         doc = json.loads(json.dumps(gbt_doc))
         spot = doc["model"]["schema"]["names"].index("spot")
         chain, text = gbt.TreeNode(weight=-1.0), '{"weight": -1.0}'
+        features, values = [-1], [-1.0]
         for k in reversed(range(980)):
             leaf, leaf_text = gbt.TreeNode(0.125 * k), f'{{"weight": {0.125 * k!r}}}'
             if k % 2 == 0:
                 threshold = 150.0 - 0.1 * k
                 chain = gbt.TreeNode(None, spot, threshold, chain, leaf)
                 sides = text, leaf_text
+                features, values = [spot, *features, -1], [threshold, *values, 0.125 * k]
             else:
                 threshold = -50.0 + 0.1 * k
                 chain = gbt.TreeNode(None, spot, threshold, leaf, chain)
                 sides = leaf_text, text
+                features, values = [spot, -1, *features], [threshold, 0.125 * k, *values]
             text = '{{"feature": {}, "threshold": {!r}, "left": {}, "right": {}}}'.format(spot, threshold, *sides)
-        doc["model"]["trees"] = ["DEEP"]
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc).replace('"DEEP"', text))
-        code, stderr = run_process(
-            "predict", "--data", str(data_dir / "dataset.csv"),
-            "--model", str(path), "--out", str(tmp_path / "p"),
-        )
-        assert code == 0, stderr
+        assert gbt.MAX_DEPTH == 980
         horizon, lr = doc["horizon_steps"], doc["model"]["config"]["learning_rate"]
         aligned = align_horizon(load_csv(data_dir / "dataset.csv", synthetic_schema()), horizon)
         lines = ["issue_timestamp,target_timestamp,prediction\n"]
@@ -524,8 +548,18 @@ class TestMalformedModel:
             weight = chain.predict_row(row)
             reached.add(weight)
             lines.append(f"{issue},{issue + horizon},{doc['model']['base_score'] + lr * weight!r}\n")
-        assert (tmp_path / "p" / "predictions.csv").read_bytes() == "".join(lines).encode()
         assert len(reached) > 100
+        flat = json.dumps({"feature": features, "value": values})
+        for layout, tree in (("nested", text), ("flat", flat)):
+            doc["model"]["trees"] = ["DEEP"]
+            path = tmp_path / f"{layout}.json"
+            path.write_text(json.dumps(doc).replace('"DEEP"', tree))
+            code, stderr = run_process(
+                "predict", "--data", str(data_dir / "dataset.csv"),
+                "--model", str(path), "--out", str(tmp_path / layout),
+            )
+            assert code == 0, stderr
+            assert (tmp_path / layout / "predictions.csv").read_bytes() == "".join(lines).encode()
 
     def test_explain_rejects_renamed_features(self, data_dir, tmp_path, ebm_model):
         doc = json.loads(ebm_model.read_text())
@@ -561,7 +595,12 @@ def _fields(model):
         return _fields(model["base"]) + _fields(model["meta"])
     if "trees" in model:
         fields = [(model, "base_score"), (model, "trees")]
-        nodes = list(model["trees"])
+        # Pre-order lists, or nested nodes as earlier versions wrote them.
+        nodes = [tree for tree in model["trees"] if "value" not in tree]
+        for tree in model["trees"]:
+            if "value" in tree:
+                fields += [(tree, key) for key in ("feature", "value")]
+                fields += [(tree[key], i) for key in ("feature", "value") for i in range(len(tree[key]))]
         while nodes:
             node = nodes.pop()
             fields += [(node, key) for key in ("feature", "threshold", "weight") if key in node]
@@ -604,6 +643,8 @@ class TestModelFileFuzz:
     def test_predict_on_one_changed_field_exits_0_or_3(self, data_dir, small_models, data):
         kind = data.draw(st.sampled_from(["gbt", "ebm", "stacked"]), label="kind")
         doc = json.loads((small_models / kind / "model.json").read_text())
+        if data.draw(st.booleans(), label="nested trees"):
+            doc["model"] = legacy_model_doc(kind, load_model(small_models / kind / "model.json")[2])
         fields = _fields(doc["model"])
         container, key = fields[data.draw(st.integers(0, len(fields) - 1), label="field")]
         container[key] = data.draw(_replacements(container[key]), label="value")
@@ -705,12 +746,12 @@ class TestModelFileEnvelopeFuzz:
             ("ebm", ("model", "config", "learning_rate"), True),
             # Every number is a finite JSON number, not a string or a bool.
             ("gbt", ("model", "base_score"), "0.5"),
-            ("gbt", ("model", "trees", 0, "threshold"), "0.5"),
+            ("gbt", ("model", "trees", 0, "value", 0), "0.5"),
             ("ebm", ("model", "bins", "vmin", 0), "nan"),
             ("ebm", ("model", "bins", "vmax", 0), True),
             ("ebm", ("model", "shapes", 0, 0), True),
             ("ebm", ("model", "intercept"), "1"),
-            ("stacked", ("model", "meta", "trees", 0, "threshold"), False),
+            ("stacked", ("model", "meta", "trees", 0, "value", 0), False),
             # A feature name csv would have to quote.
             ("gbt", ("model", "schema", "names", 0), "a,b"),
             ("stacked", ("model", "base", "schema", "names", 1), 'a"b'),

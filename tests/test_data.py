@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -656,27 +657,47 @@ class TestLoadIntoDatasetArrays:
     """load_csv counts the file's line breaks, sizes the dataset's arrays
     from them and parses each chunk straight into those arrays."""
 
-    def test_peak_is_the_arrays_plus_a_chunk(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def year_file(self, tmp_path_factory):
+        """A 100,000-row synth file with LF line endings."""
+        d, _ = generate_synthetic(SyntheticConfig(n_rows=100_000, seed=1))
+        path = tmp_path_factory.mktemp("year") / "d.csv"
+        save_csv(d, path)
+        return path
+
+    def test_peak_is_the_arrays_plus_a_chunk(self, year_file):
         # Holding the parsed chunks and their concatenation at once peaks at
         # 2.1 times the arrays. At 20,000 rows a chunk's strings alone come
         # near 1.5 times, so the file is larger.
-        d, _ = generate_synthetic(SyntheticConfig(n_rows=100_000, seed=1))
+        loaded = load_csv(year_file)
+        arrays = loaded.timestamps.nbytes + loaded.features.nbytes + loaded.target.nbytes
+        assert traced_peak(load_csv, year_file) <= 1.5 * arrays
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_load_like_lf(self, year_file, tmp_path, end):
+        # Counting the "\r" of each "\r\n" as a second break sized the
+        # arrays of a CRLF file for 2n + 1 rows: 2.26 times its arrays.
         path = tmp_path / "d.csv"
-        save_csv(d, path)
-        loaded = load_csv(path)
+        path.write_bytes(year_file.read_bytes().replace(b"\n", end.encode()))
+        lf, loaded = load_csv(year_file), load_csv(path)
+        assert loaded.n_rows == lf.n_rows == 100_000
+        for name in ("timestamps", "features", "target"):
+            assert getattr(loaded, name).tobytes() == getattr(lf, name).tobytes()
         arrays = loaded.timestamps.nbytes + loaded.features.nbytes + loaded.target.nbytes
         assert traced_peak(load_csv, path) <= 1.5 * arrays
 
-    def test_line_breaks_count_every_cr_and_lf(self, tmp_path):
+    def test_line_breaks_count_a_crlf_pair_once(self, tmp_path):
         # A "\r\n", a "\n\r" or a "\r" ends at each power-of-two offset, so
-        # some straddle the blocks the file is read in, and the last block is
-        # shorter than the one before it.
+        # some straddle the blocks the file is read in (the "\r\n" at 2**18
+        # among them), and the last block is shorter than the one before it.
         text = bytearray(b"x" * ((1 << 19) + 1))
         for k in range(4, 20):
             text[(1 << k) - 1 : (1 << k) + 1] = [b"\r\n", b"\n\r", b"\rx"][k % 3]
+        text += b"a\r\nb\rc\n\nd\r\r\n\r"
         path = tmp_path / "d.csv"
-        path.write_bytes(bytes(text) + b"a\r\nb\rc\n\nd\r")
-        assert data._line_breaks(path) == text.count(b"\n") + text.count(b"\r") + 6
+        path.write_bytes(bytes(text))
+        # The line ends that csv and universal newlines see.
+        assert data._line_breaks(path) == len(re.findall(rb"\r\n|\r|\n", text)) == 29
 
     def test_blank_lines_do_not_size_the_arrays(self, tmp_path):
         # A row of 1,002 cells takes 2,003 bytes, so 2,000,000 blank lines

@@ -27,7 +27,7 @@ from balancecast import (
     leaf_weight,
 )
 from balancecast.data import SyntheticConfig, align_horizon, generate_synthetic
-from balancecast.persistence import save_model, tree_to_dict
+from balancecast.persistence import save_model, tree_to_lists
 
 from conftest import split_gain, traced_peak, tree_depth, tree_predict
 
@@ -188,7 +188,7 @@ def reference_gbt_train(d, cfg):
 def tree_outcome(fit):
     """The tree's JSON encoding (exact to the bit), or the error it raised."""
     try:
-        return json.dumps(tree_to_dict(fit()))
+        return json.dumps(tree_to_lists(fit()))
     except DegenerateLeafError as exc:
         return f"DegenerateLeafError: {exc}"
 
@@ -607,7 +607,9 @@ class TestGbtPersistence:
         m = gbt_train(d, GbtConfig(n_trees=1, min_child_weight=0.0))
         doc = gbt_to_dict(m)
         assert set(doc) == {"base_score", "config", "schema", "trees"}
-        assert len(doc["trees"]) == 1
+        # One split at 0.5 with leaves -G/(H + lambda) = -0.5/2 and 0.5/2, as
+        # pre-order lists: the split, its left leaf, its right leaf.
+        assert doc["trees"] == [{"feature": [0, -1, -1], "value": [0.5, -0.25, 0.25]}]
 
 
 class TestRejectsNonFiniteConfig:

@@ -21,6 +21,9 @@ from balancecast import (
     stacked_predict_batch,
 )
 from balancecast.data import save_truth_json, truth_table, write_json
+from balancecast.gbt import MAX_DEPTH
+from balancecast.persistence import tree_from_lists, tree_to_lists
+from conftest import legacy_model_doc
 
 # The smallest training config per registered kind; a kind added to KINDS
 # without an entry here fails test_every_kind_has_a_case.
@@ -35,6 +38,12 @@ TINY = {
 @pytest.fixture(scope="module")
 def tiny_data():
     d, _ = generate_synthetic(SyntheticConfig(n_rows=300, seed=21))
+    return align_horizon(d, 8)
+
+
+@pytest.fixture(scope="module")
+def deep_data():
+    d, _ = generate_synthetic(SyntheticConfig(n_rows=1200, seed=21))
     return align_horizon(d, 8)
 
 
@@ -157,10 +166,11 @@ def test_tree_nested_too_deeply_is_schema_error(tiny_data, tmp_path, monkeypatch
         load_model(path)
 
 
-def _leftmost_leaf(tree):
-    while "weight" not in tree:
-        tree = tree["left"]
-    return tree
+def _set_first(tree, leaf, new):
+    """Set the value of the first leaf (or the first split) in ``tree``'s
+    pre-order lists to ``new(old)``."""
+    i = next(i for i, f in enumerate(tree["feature"]) if (f == -1) == leaf)
+    tree["value"][i] = new(tree["value"][i])
 
 
 def _set(key, value):
@@ -172,9 +182,9 @@ def _set(key, value):
 @pytest.mark.parametrize(
     "kind, change",
     [
-        ("gbt", lambda m: _set("threshold", str(m["trees"][0]["threshold"]))(m["trees"][0])),
-        ("gbt", lambda m: _set("weight", True)(_leftmost_leaf(m["trees"][1]))),
-        ("gbt", lambda m: _set("weight", float("nan"))(_leftmost_leaf(m["trees"][0]))),
+        ("gbt", lambda m: _set_first(m["trees"][0], False, str)),
+        ("gbt", lambda m: _set_first(m["trees"][1], True, lambda _: True)),
+        ("gbt", lambda m: _set_first(m["trees"][0], True, lambda _: float("nan"))),
         ("gbt", lambda m: _set("base_score", "1.0")(m)),
         ("gbt", lambda m: _set("base_score", 10**400)(m)),
         ("ebm", lambda m: _set(0, [str(c) for c in m["bins"]["cuts"][0]])(m["bins"]["cuts"])),
@@ -185,7 +195,7 @@ def _set(key, value):
         ("ebm", lambda m: _set(0, True)(m["bins"]["vmax"])),
         ("ebm", lambda m: _set("intercept", False)(m)),
         ("stacked", lambda m: _set(0, "0")(m["base"]["shapes"][2])),
-        ("stacked", lambda m: _set("threshold", [1.0])(m["meta"]["trees"][0])),
+        ("stacked", lambda m: _set_first(m["meta"]["trees"][0], False, lambda _: [1.0])),
     ],
     ids=[
         "string-threshold", "true-leaf-weight", "nan-leaf-weight", "string-base-score",
@@ -358,3 +368,146 @@ def test_integer_tree_numbers_load_as_floats(tmp_path):
     tree = load_model(path)[2].trees[1]
     assert tree == TreeNode(feature=1, threshold=1.0, left=TreeNode(weight=-2.0), right=TreeNode(weight=3.0))
     assert type(tree.threshold) is float and type(tree.left.weight) is float
+
+
+def _flat(feature, value):
+    return {"feature": feature, "value": value}
+
+
+def _chain(depth):
+    """Flat lists of a tree whose left spine holds ``depth`` splits."""
+    return _flat([0] * depth + [-1] * (depth + 1), [0.5] * depth + [1.0] * (depth + 1))
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (_flat([1, -1], [1.5, 1.0, 3.0]), "a tree has 2 features and 3 values"),
+        (_flat([1, -1, -1], [1.5, 1.0]), "a tree has 3 features and 2 values"),
+        (_flat([], []), "a tree has 0 features and 0 values"),
+        (_flat([1, -1], [1.5, 1.0]), "a tree's 2 nodes are not one pre-order: a split lacks a child"),
+        (_flat([1, 0, -1, -1], [1.5, 0.5, 1.0, 3.0]),
+         "a tree's 4 nodes are not one pre-order: a split lacks a child"),
+        (_flat([-1, -1], [1.0, 3.0]), "a tree's 2 nodes are not one pre-order: 2 subtrees"),
+        (_flat([1, -1, -1, -1], [1.5, 1.0, 3.0, 4.0]), "a tree's 4 nodes are not one pre-order: 2 subtrees"),
+        (_flat([-2, -1, -1], [1.5, 1.0, 3.0]), "bad tree feature -2 of 2"),
+        (_flat([2, -1, -1], [1.5, 1.0, 3.0]), "bad tree feature 2 of 2"),
+        (_flat([True, -1, -1], [1.5, 1.0, 3.0]), "bad tree feature True of 2"),
+        (_flat([1.0, -1, -1], [1.5, 1.0, 3.0]), "bad tree feature 1.0 of 2"),
+        (_flat(["1", -1, -1], [1.5, 1.0, 3.0]), "bad tree feature '1' of 2"),
+        (_flat([1, None, -1], [1.5, 1.0, 3.0]), "bad tree feature None of 2"),
+        (_flat([1, -1, -1], [True, 1.0, 3.0]), "expected a finite JSON number, got True"),
+        (_flat([1, -1, -1], [1.5, False, 3.0]), "expected a finite JSON number, got False"),
+        (_flat([1, -1, -1], ["1.5", 1.0, 3.0]), "expected a finite JSON number, got '1.5'"),
+        (_flat([1, -1, -1], [math.nan, 1.0, 3.0]), "expected a finite JSON number, got nan"),
+        (_flat([1, -1, -1], [1.5, math.inf, 3.0]), "expected a finite JSON number, got inf"),
+        (_flat([1, -1, -1], [1.5, 1.0, -math.inf]), "expected a finite JSON number, got -inf"),
+        (_flat([1, -1, -1], [1.5, [1.0], 3.0]), "expected a finite JSON number, got [1.0]"),
+        (_flat([1, -1, -1], [1.5, None, 3.0]), "expected a finite JSON number, got None"),
+        (_flat([-1], 1.0), "expected a JSON list of numbers, got 1.0"),
+        (_chain(MAX_DEPTH + 1), f"a tree is deeper than {MAX_DEPTH} splits"),
+        (_chain(5000), f"a tree is deeper than {MAX_DEPTH} splits"),
+    ],
+)
+def test_malformed_flat_tree_is_schema_error(tree, message, tmp_path):
+    path = tmp_path / "model.json"
+    _gbt_file(path, tree)
+    with pytest.raises(SchemaError) as info:
+        load_model(path)
+    assert str(info.value) == f"malformed gbt model file {path}: {SchemaError(message)!r}"
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (_flat([1, -1, -1], [1.5, 10**400, 3.0]), "OverflowError("),
+        ({"feature": [1, -1, -1]}, "KeyError('value')"),
+    ],
+)
+def test_flat_tree_without_numbers_is_schema_error(tree, message, tmp_path):
+    path = tmp_path / "model.json"
+    _gbt_file(path, tree)
+    with pytest.raises(SchemaError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"malformed gbt model file {path}: {message}")
+
+
+def test_flat_tree_of_the_bound_depth_loads():
+    tree = tree_from_lists(_chain(MAX_DEPTH), 1)
+    depth = 0
+    while not tree.is_leaf:
+        tree, depth = tree.left, depth + 1
+    assert depth == MAX_DEPTH
+
+
+def test_flat_codec_does_not_recurse():
+    # Five times Python's recursion limit: a recursive walk would raise
+    # RecursionError, the decoder refuses the depth instead.
+    tree = TreeNode(1.0)
+    for _ in range(5000):
+        tree = TreeNode(None, 0, 0.5, tree, TreeNode(1.0))
+    assert tree_to_lists(tree) == _chain(5000)
+    with pytest.raises(SchemaError, match=f"deeper than {MAX_DEPTH} splits"):
+        tree_from_lists(_chain(5000), 1)
+
+
+def test_tree_lists_are_its_pre_order():
+    tree = TreeNode(None, 1, 1.5, TreeNode(None, 0, -2.0, TreeNode(3.0), TreeNode(4.0)), TreeNode(5.0))
+    doc = {"feature": [1, 0, -1, -1, -1], "value": [1.5, -2.0, 3.0, 4.0, 5.0]}
+    assert tree_to_lists(tree) == doc
+    assert tree_from_lists(doc, 2) == tree
+
+
+def test_integer_flat_tree_numbers_load_as_floats(tmp_path):
+    path = tmp_path / "model.json"
+    _gbt_file(path, _flat([1, -1, -1], [1, -2, 3.0]))
+    tree = load_model(path)[2].trees[1]
+    assert tree == TreeNode(feature=1, threshold=1.0, left=TreeNode(weight=-2.0), right=TreeNode(weight=3.0))
+    assert type(tree.threshold) is float and type(tree.left.weight) is float
+
+
+def _gbt_part(kind, model):
+    return model if kind == "gbt" else model.meta
+
+
+# Deep enough for trees of more than 64 leaves, which predict partitions
+# before it scores them by bitvectors.
+DEEP = {
+    "gbt": GbtConfig(n_trees=3, max_depth=8),
+    "stacked": (EbmConfig(outer_rounds=4, max_bins=16), GbtConfig(n_trees=3, max_depth=8)),
+}
+
+
+def _leaves(node):
+    return 1 if node.is_leaf else _leaves(node.left) + _leaves(node.right)
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+@pytest.mark.parametrize("config", ["tiny", "deep"])
+@pytest.mark.parametrize("kind", ["gbt", "stacked"])
+def test_nested_tree_file_loads_like_the_flat_one(kind, config, indent, tiny_data, deep_data, tmp_path):
+    """Files whose trees are nested objects, as earlier versions wrote them,
+    load to the trees of the flat file and predict the same bytes."""
+    spec = KINDS[kind]
+    data = tiny_data if config == "tiny" else deep_data
+    model = spec.train(data, (TINY if config == "tiny" else DEEP)[kind])
+    if config == "deep":
+        assert max(map(_leaves, _gbt_part(kind, model).trees)) > 64
+    flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
+    save_model(model, 8, flat)
+    doc = {"kind": kind, "horizon_steps": 8, "model": legacy_model_doc(kind, model)}
+    nested.write_text(json.dumps(doc, indent=indent))
+    assert '"threshold"' in nested.read_text() and '"threshold"' not in flat.read_text()
+    (_, _, from_flat), (_, _, from_nested) = load_model(flat), load_model(nested)
+    trained = _gbt_part(kind, model)
+    for m in (from_flat, from_nested):
+        part = _gbt_part(kind, m)
+        assert (part.trees, part.base_score, part.config) == (trained.trees, trained.base_score, trained.config)
+        assert m.schema == model.schema
+    rows = slice(8, data.n_rows)
+    expected = spec.predict(model, data, rows).tobytes()
+    assert spec.predict(from_flat, data, rows).tobytes() == expected
+    assert spec.predict(from_nested, data, rows).tobytes() == expected
+    resaved = tmp_path / "resaved.json"
+    save_model(from_nested, 8, resaved)
+    assert resaved.read_bytes() == flat.read_bytes()
