@@ -109,6 +109,12 @@ def legacy_tree_to_dict(node):
     }
 
 
+def flat_chain(depth):
+    """The pre-order lists of a tree whose left spine holds ``depth`` splits
+    on feature 0."""
+    return {"feature": [0] * depth + [-1] * (depth + 1), "value": [0.5] * depth + [1.0] * (depth + 1)}
+
+
 def legacy_model_doc(kind, model):
     """``KINDS[kind].to_dict(model)`` with every tree nested as earlier
     versions wrote it."""

@@ -22,7 +22,7 @@ from balancecast import (
 )
 from balancecast.cli import main
 from balancecast.data import align_horizon
-from conftest import legacy_model_doc
+from conftest import flat_chain, legacy_model_doc
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -416,11 +416,6 @@ def _set(key, leaf, value):
     return change
 
 
-def _flat_chain(depth):
-    """Flat lists of a tree whose left spine holds ``depth`` splits."""
-    return {"feature": [0] * depth + [-1] * (depth + 1), "value": [0.5] * depth + [1.0] * (depth + 1)}
-
-
 def _first_tree(change):
     def apply(model):
         change(model["trees"][0])
@@ -446,13 +441,13 @@ BAD_VALUES = {
     "gbt-value-string": ("gbt", _set("value", False, "0.5")),
     "gbt-weight-negative-infinite": ("gbt", _set("value", True, -math.inf)),
     "gbt-lists-unequal": ("gbt", _first_tree(lambda tree: tree["value"].pop())),
-    "gbt-preorder-ends-early": ("gbt", _first_tree(lambda tree: [tree[k].pop() for k in tree])),
+    "gbt-preorder-ends-early": ("gbt", _first_tree(lambda tree: (tree["feature"].pop(), tree["value"].pop()))),
     "gbt-preorder-leaves-nodes-over": (
-        "gbt", _first_tree(lambda tree: [tree[k].append(v) for k, v in (("feature", -1), ("value", 1.0))])
+        "gbt", _first_tree(lambda tree: (tree["feature"].append(-1), tree["value"].append(1.0)))
     ),
-    "gbt-tree-empty": ("gbt", _first_tree(lambda tree: [tree[k].clear() for k in tree])),
-    "gbt-chain-past-the-bound": ("gbt", lambda model: model["trees"].append(_flat_chain(gbt.MAX_DEPTH + 1))),
-    "gbt-chain-5000-deep": ("gbt", lambda model: model["trees"].append(_flat_chain(5000))),
+    "gbt-tree-empty": ("gbt", _first_tree(lambda tree: (tree["feature"].clear(), tree["value"].clear()))),
+    "gbt-chain-past-the-bound": ("gbt", lambda model: model["trees"].append(flat_chain(gbt.MAX_DEPTH + 1))),
+    "gbt-chain-5000-deep": ("gbt", lambda model: model["trees"].append(flat_chain(5000))),
 }
 
 
@@ -594,13 +589,13 @@ def _fields(model):
     if "meta" in model:
         return _fields(model["base"]) + _fields(model["meta"])
     if "trees" in model:
-        fields = [(model, "base_score"), (model, "trees")]
-        # Pre-order lists, or nested nodes as earlier versions wrote them.
-        nodes = [tree for tree in model["trees"] if "value" not in tree]
+        fields, nodes = [(model, "base_score"), (model, "trees")], []
         for tree in model["trees"]:
-            if "value" in tree:
+            if "value" in tree:  # pre-order lists
                 fields += [(tree, key) for key in ("feature", "value")]
                 fields += [(tree[key], i) for key in ("feature", "value") for i in range(len(tree[key]))]
+            else:  # nested nodes, as earlier versions wrote them
+                nodes.append(tree)
         while nodes:
             node = nodes.pop()
             fields += [(node, key) for key in ("feature", "threshold", "weight") if key in node]

@@ -23,7 +23,7 @@ from balancecast import (
 from balancecast.data import save_truth_json, truth_table, write_json
 from balancecast.gbt import MAX_DEPTH
 from balancecast.persistence import tree_from_lists, tree_to_lists
-from conftest import legacy_model_doc
+from conftest import flat_chain, legacy_model_doc
 
 # The smallest training config per registered kind; a kind added to KINDS
 # without an entry here fails test_every_kind_has_a_case.
@@ -310,7 +310,9 @@ def test_writer_rejects_nan_and_infinities(tmp_path, payload):
 
 
 def _gbt_file(path, tree):
-    """A one-feature-pair gbt model file whose second tree is ``tree``."""
+    """A one-feature-pair gbt model file whose second tree is ``tree``; the
+    first is a leaf nested as earlier versions wrote it, so a flat ``tree``
+    shares the file with a nested one."""
     model = {
         "base_score": 0.5,
         "config": {"n_trees": 2, "learning_rate": 0.5, "gamma": 0.0, "reg_lambda": 1.0,
@@ -374,11 +376,6 @@ def _flat(feature, value):
     return {"feature": feature, "value": value}
 
 
-def _chain(depth):
-    """Flat lists of a tree whose left spine holds ``depth`` splits."""
-    return _flat([0] * depth + [-1] * (depth + 1), [0.5] * depth + [1.0] * (depth + 1))
-
-
 @pytest.mark.parametrize(
     "tree, message",
     [
@@ -405,8 +402,8 @@ def _chain(depth):
         (_flat([1, -1, -1], [1.5, [1.0], 3.0]), "expected a finite JSON number, got [1.0]"),
         (_flat([1, -1, -1], [1.5, None, 3.0]), "expected a finite JSON number, got None"),
         (_flat([-1], 1.0), "expected a JSON list of numbers, got 1.0"),
-        (_chain(MAX_DEPTH + 1), f"a tree is deeper than {MAX_DEPTH} splits"),
-        (_chain(5000), f"a tree is deeper than {MAX_DEPTH} splits"),
+        (flat_chain(MAX_DEPTH + 1), f"a tree is deeper than {MAX_DEPTH} splits"),
+        (flat_chain(5000), f"a tree is deeper than {MAX_DEPTH} splits"),
     ],
 )
 def test_malformed_flat_tree_is_schema_error(tree, message, tmp_path):
@@ -432,23 +429,18 @@ def test_flat_tree_without_numbers_is_schema_error(tree, message, tmp_path):
     assert str(info.value).startswith(f"malformed gbt model file {path}: {message}")
 
 
-def test_flat_tree_of_the_bound_depth_loads():
-    tree = tree_from_lists(_chain(MAX_DEPTH), 1)
-    depth = 0
-    while not tree.is_leaf:
-        tree, depth = tree.left, depth + 1
-    assert depth == MAX_DEPTH
-
-
 def test_flat_codec_does_not_recurse():
-    # Five times Python's recursion limit: a recursive walk would raise
-    # RecursionError, the decoder refuses the depth instead.
+    # A recursive encoder raises RecursionError on a chain of 5,000 splits,
+    # and a recursive decoder on one of MAX_DEPTH under pytest's own frames.
     tree = TreeNode(1.0)
     for _ in range(5000):
         tree = TreeNode(None, 0, 0.5, tree, TreeNode(1.0))
-    assert tree_to_lists(tree) == _chain(5000)
-    with pytest.raises(SchemaError, match=f"deeper than {MAX_DEPTH} splits"):
-        tree_from_lists(_chain(5000), 1)
+    assert tree_to_lists(tree) == flat_chain(5000)
+    tree, depth = tree_from_lists(flat_chain(MAX_DEPTH), 1), 0
+    while not tree.is_leaf:
+        assert tree.right == TreeNode(1.0)
+        tree, depth = tree.left, depth + 1
+    assert depth == MAX_DEPTH
 
 
 def test_tree_lists_are_its_pre_order():
