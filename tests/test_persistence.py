@@ -462,11 +462,17 @@ def _gbt_part(kind, model):
     return model if kind == "gbt" else model.meta
 
 
-# Deep enough for trees of more than 64 leaves, which predict partitions
-# before it scores them by bitvectors.
-DEEP = {
-    "gbt": GbtConfig(n_trees=3, max_depth=8),
-    "stacked": (EbmConfig(outer_rounds=4, max_bins=16), GbtConfig(n_trees=3, max_depth=8)),
+# Trees at the default depth, and deep enough for more than 64 leaves, which
+# predict partitions before it scores them by bitvectors.
+DEPTHS = {
+    "default": {
+        "gbt": GbtConfig(n_trees=3),
+        "stacked": (EbmConfig(outer_rounds=4, max_bins=16), GbtConfig(n_trees=3)),
+    },
+    "depth-8": {
+        "gbt": GbtConfig(n_trees=3, max_depth=8),
+        "stacked": (EbmConfig(outer_rounds=4, max_bins=16), GbtConfig(n_trees=3, max_depth=8)),
+    },
 }
 
 
@@ -475,16 +481,15 @@ def _leaves(node):
 
 
 @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
-@pytest.mark.parametrize("config", ["tiny", "deep"])
+@pytest.mark.parametrize("depth", sorted(DEPTHS))
 @pytest.mark.parametrize("kind", ["gbt", "stacked"])
-def test_nested_tree_file_loads_like_the_flat_one(kind, config, indent, tiny_data, deep_data, tmp_path):
+def test_nested_tree_file_loads_like_the_flat_one(kind, depth, indent, deep_data, tmp_path):
     """Files whose trees are nested objects, as earlier versions wrote them,
     load to the trees of the flat file and predict the same bytes."""
     spec = KINDS[kind]
-    data = tiny_data if config == "tiny" else deep_data
-    model = spec.train(data, (TINY if config == "tiny" else DEEP)[kind])
-    if config == "deep":
-        assert max(map(_leaves, _gbt_part(kind, model).trees)) > 64
+    model = spec.train(deep_data, DEPTHS[depth][kind])
+    most = max(map(_leaves, _gbt_part(kind, model).trees))
+    assert most > 64 if depth == "depth-8" else most <= 64
     flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
     save_model(model, 8, flat)
     doc = {"kind": kind, "horizon_steps": 8, "model": legacy_model_doc(kind, model)}
@@ -496,10 +501,10 @@ def test_nested_tree_file_loads_like_the_flat_one(kind, config, indent, tiny_dat
         part = _gbt_part(kind, m)
         assert (part.trees, part.base_score, part.config) == (trained.trees, trained.base_score, trained.config)
         assert m.schema == model.schema
-    rows = slice(8, data.n_rows)
-    expected = spec.predict(model, data, rows).tobytes()
-    assert spec.predict(from_flat, data, rows).tobytes() == expected
-    assert spec.predict(from_nested, data, rows).tobytes() == expected
+    rows = slice(8, deep_data.n_rows)
+    expected = spec.predict(model, deep_data, rows).tobytes()
+    assert spec.predict(from_flat, deep_data, rows).tobytes() == expected
+    assert spec.predict(from_nested, deep_data, rows).tobytes() == expected
     resaved = tmp_path / "resaved.json"
     save_model(from_nested, 8, resaved)
     assert resaved.read_bytes() == flat.read_bytes()
