@@ -416,17 +416,16 @@ def cmd_grid(args) -> None:
     aligned, _horizon, folds, options = _backtest(args)
     names = [name for name, _ in grid]
     combos = list(itertools.product(*(values for _, values in grid)))
-    specs = [model_spec(kind, _config(args, kind, **dict(zip(names, c)))) for c in combos]
+    cfgs = [_config(args, kind, **dict(zip(names, c))) for c in combos]
+    # A combination's index labels its spec, since --param may repeat a value.
+    specs = [dataclasses.replace(model_spec(kind, c), label=str(i)) for i, c in enumerate(cfgs)]
     _out_path(args)
-    results = [
-        (combo, evaluate([spec], aligned, folds, **options).rows[0].metrics)
-        for combo, spec in zip(combos, specs)
-    ]
+    report = evaluate(specs, aligned, folds, **options)
     out = _out_dir(args)
-    results.sort(key=lambda r: (r[1].mae, r[0]))
-    rows = [(*combo, m.mae, m.rmse, m.r2) for combo, m in results]
+    results = sorted(zip(combos, report.rows[::2]), key=lambda r: (r[1].metrics.mae, r[0]))
+    rows = [(*combo, row.metrics.mae, row.metrics.rmse, row.metrics.r2) for combo, row in results]
     write_csv(out / "grid.csv", [*names, "mae", "rmse", "r2"], list(zip(*rows)))
-    print(f"wrote {out / 'grid.csv'} ({len(results)} combinations)")
+    print(f"wrote {out / 'grid.csv'} ({len(rows)} combinations)")
 
 
 def main(argv=None) -> int:

@@ -74,11 +74,13 @@ def build_bins(d: Dataset, max_bins: int) -> BinMap:
         distinct = np.unique(col)
         if len(distinct) < max_bins:
             c = (distinct[:-1] + distinct[1:]) / 2.0
+            c = np.where(np.isfinite(c), c, distinct[:-1])  # the lower value if a sum overflows
         else:
             qs = np.arange(1, max_bins) / max_bins
             c = np.unique(np.quantile(col, qs))
-            # A cut at the maximum would leave the top bin empty.
-            c = c[c < distinct[-1]]
+            # A cut at the maximum would leave the top bin empty, and one
+            # below the minimum (an interpolation that overflows) the bottom.
+            c = c[(distinct[0] <= c) & (c < distinct[-1])]
         cuts.append(np.asarray(c, dtype=np.float64))
         vmin.append(float(distinct[0]))
         vmax.append(float(distinct[-1]))

@@ -1,16 +1,16 @@
 """Metrics, expanding-window cross-validation, and deviation-event reports.
 
-Every fold trains fresh models on all rows before its test window and
-predicts the window that follows, so every training issue time precedes the
-test segment; the stack reuses the fold's EBM when the ebm model has the
-same config. In a horizon-aligned dataset the targets are prices realized h
-steps after the issue times, so those of the last h - 1 training rows are
-realized after the test window opens: no embargo drops them yet. Test
-predictions are pooled across folds into a single evaluated segment, then
-reported twice: once as-is and once keeping only deviation events, the rows
-where the realized price moved away from the spot anchor by more than
-epsilon. The spot anchor is the dataset's ``spot`` feature; a dataset
-without one cannot be evaluated.
+One fold runner, run_folds, does all fitting: each fold trains fresh models
+on all rows before its test window and predicts the window that follows, so
+every training issue time precedes the test segment; the stack reuses the
+fold's EBM when the ebm model has the same config. In a horizon-aligned
+dataset the targets are prices realized h steps after the issue times, so
+those of the last h - 1 training rows are realized after the test window
+opens: no embargo drops them yet. evaluate pools the test predictions across
+folds into one segment and reports it twice: once as-is and once keeping
+only deviation events, the rows where the realized price moved away from
+the spot anchor by more than epsilon. The spot anchor is the dataset's
+``spot`` feature; a dataset without one cannot be evaluated.
 """
 
 from __future__ import annotations
@@ -218,35 +218,10 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate(
-    models: Sequence[ModelSpec],
-    d: Dataset,
-    folds: Sequence[FoldSpec],
-    epsilon: float = 1e-6,
-    label: str = "synthetic",
-    direction: str = "up",
-) -> EvalReport:
-    """Train-and-test every model over the folds and pool the test segments.
-
-    Emits two rows per model: unfiltered metrics over the pooled test
-    predictions, and metrics restricted to deviation events. The report
-    also carries the pooled segment and each model's pooled predictions.
-    A dataset without a ``spot`` feature, a fold past its end or an
-    ``epsilon`` that is not finite and >= 0 raises before any fit.
-    """
-    check_bound("epsilon", epsilon, 0)
-    for fold in folds:
-        if fold.test_end > d.n_rows:
-            raise InvalidArgumentError(
-                f"fold {fold} exceeds dataset with {d.n_rows} rows"
-            )
-    test_idx = np.concatenate(
-        [np.arange(f.test_start, f.test_end) for f in folds]
-    )
-    y_pool = d.target[test_idx]
-    spot_pool = d.spot[test_idx]
-    report = EvalReport(issue_timestamps=d.timestamps[test_idx], actual=y_pool)
-    preds: list[list[np.ndarray]] = [[] for _ in models]
+def run_folds(models: Sequence[ModelSpec], d: Dataset, folds: Sequence[FoldSpec]):
+    """Yield, fold by fold, each spec's predictions of the fold's test rows
+    in spec order. The only code that fits: each spec once per fold, on the
+    rows before ``train_end``, all sharing one ``fitted`` dict per fold."""
     for fold in folds:
         train = d.slice_rows(0, fold.train_end)
         idx = np.arange(fold.test_start, fold.test_end)
@@ -255,11 +230,38 @@ def evaluate(
         # the last h - 1 of them can postdate its start (no embargo yet).
         assert d.timestamps[fold.train_end - 1] < d.timestamps[fold.test_start]
         fitted: dict = {}
-        for spec, spec_preds in zip(models, preds):
-            predictor = spec.fit(train, fitted)
-            spec_preds.append(np.asarray(predictor(d, idx), dtype=np.float64))
-    for spec, spec_preds in zip(models, preds):
-        pred_pool = np.concatenate(spec_preds)
+        yield [np.asarray(spec.fit(train, fitted)(d, idx), dtype=np.float64) for spec in models]
+
+
+def evaluate(
+    models: Sequence[ModelSpec],
+    d: Dataset,
+    folds: Sequence[FoldSpec],
+    epsilon: float = 1e-6,
+    label: str = "synthetic",
+    direction: str = "up",
+) -> EvalReport:
+    """Pool the test predictions of :func:`run_folds` and score them.
+
+    Emits two rows per model: unfiltered metrics over the pooled test
+    predictions, and metrics restricted to deviation events. The report
+    also carries the pooled segment and each model's pooled predictions.
+    A dataset without a ``spot`` feature, a fold past its end, two specs
+    with one label or an ``epsilon`` that is not finite and >= 0 raises
+    before any fit.
+    """
+    check_bound("epsilon", epsilon, 0)
+    for fold in folds:
+        if fold.test_end > d.n_rows:
+            raise InvalidArgumentError(f"fold {fold} exceeds dataset with {d.n_rows} rows")
+    if len({spec.label for spec in models}) < len(models):
+        raise InvalidArgumentError(f"model labels repeat: {[spec.label for spec in models]}")
+    test_idx = np.concatenate([np.arange(f.test_start, f.test_end) for f in folds])
+    y_pool = d.target[test_idx]
+    spot_pool = d.spot[test_idx]
+    report = EvalReport(issue_timestamps=d.timestamps[test_idx], actual=y_pool)
+    for spec, fold_preds in zip(models, zip(*run_folds(models, d, folds))):
+        pred_pool = np.concatenate(fold_preds)
         report.predictions[spec.label] = pred_pool
         pooled = compute_metrics(y_pool, pred_pool)
         y_kept, pred_kept, n_orig, n_filter = filter_deviation_events(

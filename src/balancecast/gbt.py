@@ -85,12 +85,6 @@ class TreeNode(NamedTuple):
     def is_leaf(self) -> bool:
         return self.weight is not None
 
-    def predict_row(self, x) -> float:
-        node = self
-        while node.weight is None:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.weight
-
 
 # Leaves per uint64 bitvector, all its bits, and the float 2.0**k's exponent field less k.
 _WORD, _ALL, _BIAS = 64, 2**64 - 1, 1023
@@ -227,7 +221,8 @@ def _best_split(g, block, g_total: float, cfg: GbtConfig, denoms) -> tuple[float
     # threshold among equal gains within a feature.
     k = int(gains[best].argmax())
     a, b = values[best, k : k + 2].tolist()
-    return top[best], int(features[best]), 0.5 * (a + b)
+    mid = 0.5 * (a + b)  # if a + b overflows, a splits the rows the same way
+    return top[best], int(features[best]), mid if math.isfinite(mid) else a
 
 
 def _child_block(block, keep: np.ndarray):
@@ -324,6 +319,8 @@ def gbt_train(d: Dataset, cfg: GbtConfig = GbtConfig()) -> GbtModel:
         trees.append(_grow_tree(*fit, g, cfg, leaf_out))
         pred = pred + cfg.learning_rate * leaf_out
         mse.append(float(np.mean((y - pred) ** 2)))
+    if not np.isfinite(pred).all():  # the base score, a leaf weight or their sum overflows
+        raise InvalidArgumentError("GBT training predictions must be finite")
     return GbtModel(
         trees=tuple(trees),
         base_score=base,

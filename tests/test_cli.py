@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -17,12 +18,12 @@ from hypothesis import strategies as st
 
 from balancecast import cli, ebm, errors, gbt, stacking
 from balancecast import (
-    SyntheticConfig, ebm_predict_batch, generate_synthetic, load_csv, load_model, save_csv,
-    synthetic_schema,
+    SyntheticConfig, ebm_predict_batch, evaluate, expanding_window_folds, generate_synthetic,
+    load_csv, load_model, model_spec, save_csv, synthetic_schema,
 )
 from balancecast.cli import main
 from balancecast.data import align_horizon
-from conftest import flat_chain, legacy_model_doc
+from conftest import flat_chain, legacy_model_doc, tree_predict
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -539,8 +540,8 @@ class TestMalformedModel:
         aligned = align_horizon(load_csv(data_dir / "dataset.csv", synthetic_schema()), horizon)
         lines = ["issue_timestamp,target_timestamp,prediction\n"]
         reached = set()
-        for issue, row in zip(aligned.timestamps.tolist(), aligned.features.tolist()):
-            weight = chain.predict_row(row)
+        weights = tree_predict(chain, aligned.features).tolist()
+        for issue, weight in zip(aligned.timestamps.tolist(), weights):
             reached.add(weight)
             lines.append(f"{issue},{issue + horizon},{doc['model']['base_score'] + lr * weight!r}\n")
         assert len(reached) > 100
@@ -1073,6 +1074,38 @@ class TestGrid:
         maes = [float(line.split(",")[2]) for line in lines[1:]]
         assert maes == sorted(maes)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("gbt", {"n_trees": [3, 3], "max_depth": [2, 3]}), ("ebm", {"outer_rounds": [4, 4], "max_bins": [8, 16]})],
+    )
+    def test_rows_equal_each_combination_evaluated_alone(self, data_dir, tmp_path, kind, params):
+        """All combinations are fitted fold by fold in one evaluation, and each
+        row holds the unfiltered metrics of its combination's own evaluation."""
+        flags = [f for name, values in params.items() for f in ("--param", f"{name}={','.join(map(str, values))}")]
+        code = run(
+            "grid", "--data", str(data_dir / "dataset.csv"), "--model", kind, *flags,
+            "--initial-train", "500", "--test-len", "56", "--out", str(tmp_path),
+        )
+        assert code == 0
+        with (tmp_path / "grid.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [*params, "mae", "rmse", "r2"]
+        aligned = align_horizon(load_csv(data_dir / "dataset.csv"), 32)
+        folds = expanding_window_folds(aligned.n_rows, 500, 56)
+        assert len(folds) == 3
+        expected = []
+        for combo in itertools.product(*params.values()):
+            cfg = dataclasses.replace(cli.CONFIG_DEFAULTS[kind], **dict(zip(params, combo)))
+            m = evaluate([model_spec(kind, cfg)], aligned, folds).rows[0].metrics
+            expected.append([*map(str, combo), repr(m.mae), repr(m.rmse), repr(m.r2)])
+        assert rows[1:] == sorted(expected, key=lambda r: (float(r[2]), *map(int, r[:2])))
+        # The first parameter repeats its value: each combination has two equal rows.
+        repeats = {}
+        for row in rows[1:]:
+            repeats.setdefault(tuple(row[:2]), []).append(row[2:])
+        assert [len(v) for v in repeats.values()] == [2, 2]
+        assert all(first == second for first, second in repeats.values())
+
     def test_unknown_param_usage_error(self, data_dir, tmp_path):
         code = run(
             "grid", "--data", str(data_dir / "dataset.csv"), "--model", "gbt",
@@ -1250,6 +1283,47 @@ class TestNonFiniteGbtHyperparameters:
         )
         assert_clean_error(code, stderr, 3)
         assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def _with_extreme_column(src, dst, column):
+    """``src`` with ``column`` replaced: consumption alternates near +-1.7e308,
+    so neighbouring values overflow their sum; the target sits near 1.7e308."""
+    with src.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(column)
+    for i, row in enumerate(rows[1:]):
+        value = 1.7e308 - i * 1e303
+        row[j] = repr(value * (-1) ** i if column == "consumption" else value)
+    with dst.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return dst
+
+
+class TestExtremeValues:
+    SMALL = ("--n-trees", "5", "--outer-rounds", "5", "--meta-n-trees", "5")
+
+    @pytest.mark.parametrize("kind", ["gbt", "ebm", "stacked"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.diff of the loaded cuts overflows
+    def test_overflowing_midpoints_train_and_predict(self, data_dir, tmp_path, kind):
+        data = str(_with_extreme_column(data_dir / "dataset.csv", tmp_path / "x.csv", "consumption"))
+        code, stderr = run_process("train", "--data", data, "--model", kind, *self.SMALL, "--out", "m", cwd=tmp_path)
+        assert code == 0 and "Traceback" not in stderr, stderr
+        load_model(tmp_path / "m" / "model.json")  # loads only if every number is finite
+        code, stderr = run_process("predict", "--data", data, "--model", "m/model.json", "--out", "p", cwd=tmp_path)
+        assert code == 0 and "Traceback" not in stderr, stderr
+        assert (tmp_path / "p" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("gbt", "GBT training predictions must be finite"),
+        ("ebm", "shape values must be finite"),
+        ("stacked", "shape values must be finite"),
+    ])
+    def test_overflowing_fit_exits_3_without_out(self, data_dir, tmp_path, kind, message):
+        data = str(_with_extreme_column(data_dir / "dataset.csv", tmp_path / "x.csv", "target"))
+        code, stderr = run_process("train", "--data", data, "--model", kind, *self.SMALL, "--out", "m", cwd=tmp_path)
+        assert_clean_error(code, stderr, 3)
+        assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [f"error: {message}"]
+        assert not (tmp_path / "m").exists()
 
 
 class TestNonFiniteSynthConfig:

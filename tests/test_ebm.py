@@ -118,6 +118,24 @@ class TestBuildBins:
         idx = bins.bin_index(0, col)
         assert idx.min() >= 0 and idx.max() < bins.n_bins(0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_midpoint_cuts_stay_finite_where_a_sum_overflows(self):
+        col = np.array([1.7e308, -1.6e308, 0.0, -1.7e308, 1.6e308])
+        bins = build_bins(dataset_for(col.reshape(-1, 1)), 256)
+        # The lower value cuts where the midpoint overflows: one bin per value still.
+        assert bins.cuts[0].tolist() == [-1.7e308, 0.5 * -1.6e308, 0.5 * 1.6e308, 1.6e308]
+        assert bins.bin_index(0, col).tolist() == [4, 1, 2, 0, 3]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_quantile_cuts_stay_finite_where_interpolation_overflows(self):
+        # Quantile interpolation between values this far apart overflows.
+        col = np.array([(1.7e308 - i * 1e305) * (-1) ** i for i in range(600)])
+        bins = build_bins(dataset_for(col.reshape(-1, 1)), 256)
+        cuts = bins.cuts[0]
+        assert np.isfinite(cuts).all() and (np.diff(cuts) > 0).all()
+        assert bins.vmin[0] <= cuts[0] and cuts[-1] < bins.vmax[0]
+        assert len(cuts) >= 250
+
     def test_max_bins_validation(self):
         d = dataset_for([[1.0], [2.0]])
         with pytest.raises(InvalidArgumentError):

@@ -23,7 +23,8 @@ from balancecast import (
     filter_deviation_events,
     model_spec,
 )
-from balancecast import ebm, stacking
+from balancecast import ebm, gbt, stacking
+from balancecast.evaluation import run_folds
 
 
 def metrics_oracle(y, y_hat):
@@ -291,6 +292,17 @@ class TestEvaluate:
         with pytest.raises(InvalidArgumentError, match="epsilon"):
             evaluate([ModelSpec("never", fit)], d, [FoldSpec(10, 10, 20)], epsilon=eps)
 
+    def test_repeated_label_rejected_before_any_fit(self, monkeypatch):
+        # Two specs of one label would share one entry of report.predictions.
+        def never(*args, **kwargs):
+            raise AssertionError("gbt_train called")
+
+        monkeypatch.setattr(gbt, "gbt_train", never)
+        specs = [model_spec("gbt", GbtConfig(n_trees=3)), model_spec("gbt", GbtConfig(n_trees=6))]
+        d = tiny_dataset(n=30)
+        with pytest.raises(InvalidArgumentError, match="labels repeat"):
+            evaluate(specs, d, [FoldSpec(10, 10, 20)])
+
     def test_fold_out_of_range_rejected(self):
         d = tiny_dataset(n=30)
         with pytest.raises(InvalidArgumentError):
@@ -386,6 +398,50 @@ class TestFitSharing:
         report = evaluate([mean_spec(), *sharing_specs(kinds), oracle_spec()], d, folds)
         assert [row.model for row in report.rows[::2]] == ["mean", *kinds, "oracle"]
         assert report.predictions["oracle"].tobytes() == report.actual.tobytes()
+
+
+class TestRunFolds:
+    """run_folds fits each spec once per fold, folds in order and specs in
+    spec order, on the rows before the fold's test window, and the specs of
+    a fold share one fresh ``fitted`` dict."""
+
+    @staticmethod
+    def spy(label, calls):
+        def fit(train, fitted):
+            calls.append((label, train.n_rows, fitted))
+            fitted.setdefault("fitted in order", []).append(label)
+            mean = float(train.target.mean())
+            return lambda d, idx: np.full(len(idx), mean)
+
+        return ModelSpec(label, fit)
+
+    def test_each_spec_fits_once_per_fold(self):
+        d = tiny_dataset(n=70, seed=4)
+        folds = expanding_window_folds(d.n_rows, 30, 15)
+        assert len(folds) == 3
+        calls = []
+        specs = [self.spy(label, calls) for label in "abc"]
+        report = evaluate(specs, d, folds, epsilon=0.1)
+        assert [call[:2] for call in calls] == [(label, f.train_end) for f in folds for label in "abc"]
+        per_fold = [calls[i : i + 3] for i in range(0, len(calls), 3)]
+        for fold_calls in per_fold:
+            assert all(call[2] is fold_calls[0][2] for call in fold_calls)
+            assert fold_calls[0][2] == {"fitted in order": ["a", "b", "c"]}
+        assert len({id(fold_calls[0][2]) for fold_calls in per_fold}) == 3
+        assert [row.model for row in report.rows[::2]] == ["a", "b", "c"]
+
+    def test_yields_each_folds_predictions_in_spec_order(self):
+        d = tiny_dataset(n=70, seed=4)
+        folds = expanding_window_folds(d.n_rows, 30, 15)
+        calls = []
+        fold_preds = list(run_folds([mean_spec(), oracle_spec(), self.spy("spy", calls)], d, folds))
+        assert len(fold_preds) == len(folds) == len(calls)
+        for fold, (mean, oracle, spy) in zip(folds, fold_preds):
+            assert mean.tolist() == [float(d.target[: fold.train_end].mean())] * (fold.test_end - fold.test_start)
+            assert oracle.tolist() == d.target[fold.test_start : fold.test_end].tolist()
+            assert spy.tolist() == mean.tolist()
+        report = evaluate([mean_spec(), oracle_spec()], d, folds)
+        assert report.predictions["mean"].tolist() == np.concatenate([p[0] for p in fold_preds]).tolist()
 
 
 class TestEvalReportOutput:

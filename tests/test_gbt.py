@@ -141,7 +141,9 @@ def reference_best_split(x, g, h, idx, cfg):
         gain = float(gains[k])
         if best is None or gain > best[0]:
             b = boundary[k]
-            best = (gain, j, float(0.5 * (vs[b] + vs[b + 1])))
+            # The midpoint, or the lower value where the sum overflows.
+            mid = 0.5 * (float(vs[b]) + float(vs[b + 1]))
+            best = (gain, j, mid if math.isfinite(mid) else float(vs[b]))
     return best
 
 
@@ -309,8 +311,7 @@ class TestTreeNode:
         split = TreeNode(feature=2, threshold=0.5, left=leaf, right=TreeNode(weight=-1.0))
         assert split.weight is None and split.left is leaf
         assert leaf.is_leaf and not split.is_leaf
-        assert split.predict_row([9.0, 9.0, 0.5]) == 1.5
-        assert split.predict_row([9.0, 9.0, 0.75]) == -1.0
+        assert tree_predict(split, [[9.0, 9.0, 0.5], [9.0, 9.0, 0.75]]).tolist() == [1.5, -1.0]
 
     @pytest.mark.parametrize("name", ["weight", "feature", "threshold", "left", "right", "extra"])
     def test_assignment_is_attribute_error(self, name):
@@ -527,6 +528,40 @@ class TestGbtTrain:
         assert np.allclose(p1, p2, atol=1e-9)
 
 
+class TestOverflow:
+    """Neighbouring values whose sum overflows split at the lower one, which
+    parts the rows as the midpoint would; a fit whose base score or leaf
+    weights overflow is refused."""
+
+    X = np.array([[-1.7e308], [-1.6e308], [0.0], [1.0], [1.6e308], [1.7e308]])
+    CFG = GbtConfig(n_trees=1, learning_rate=1.0, max_depth=3, reg_lambda=0.0, min_child_weight=0.0)
+
+    def test_threshold_is_the_lower_value(self, tmp_path):
+        d = dataset_for(self.X, [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
+        m = gbt_train(d, self.CFG)
+        thresholds = {v for f, v in zip(*tree_to_lists(m.trees[0]).values()) if f >= 0}
+        assert thresholds == {-1.7e308, 0.5 * -1.6e308, 0.5, 0.5 * (1.0 + 1.6e308), 1.6e308}
+        assert gbt_predict_batch(m, self.X).tolist() == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+        save_model(m, 32, tmp_path / "model.json")
+        ref = reference_gbt_train(d, self.CFG)
+        assert [tree_to_lists(t) for t in ref.trees] == [tree_to_lists(t) for t in m.trees]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_base_score_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            gbt_train(dataset_for(self.X, [1.7e308] * 6), self.CFG)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_leaf_weight_rejected(self):
+        # The mean is 0, but the split puts rows 0 and 2 (targets 1.7e308)
+        # in one leaf, whose gradient sum overflows.
+        d = dataset_for([[0.0], [2.0], [1.0], [3.0]], [1.7e308, -1.7e308, 1.7e308, -1.7e308])
+        cfg = dataclasses.replace(self.CFG, max_depth=1, min_child_weight=2.0)
+        assert fit_tree(d, -d.target, cfg).left.weight == math.inf
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            gbt_train(d, cfg)
+
+
 class TestGbtPredict:
     def test_single_leaf_tree_with_shrinkage(self):
         m = GbtModel(
@@ -578,7 +613,7 @@ class TestGbtPredict:
         eta = m.config.learning_rate
         for i in (0, 7, 131):
             x = sub.features[i]
-            routed = [tree.predict_row(x) for tree in m.trees]
+            routed = [tree_predict(tree, [x])[0] for tree in m.trees]
             expected = m.base_score
             for w in routed:
                 expected += eta * w
@@ -703,12 +738,12 @@ def bits(a):
 
 def row_reference(model, rows):
     """What gbt_predict_batch must return: per row, base_score plus the
-    learning rate times each tree's TreeNode.predict_row, in tree order."""
+    learning rate times the leaf each tree routes the row to, in tree order."""
     expected = []
     for row in rows:
         acc = model.base_score
         for tree in model.trees:
-            acc += model.config.learning_rate * tree.predict_row(row)
+            acc += model.config.learning_rate * tree_predict(tree, [row])[0]
         expected.append(acc)
     return np.array(expected, dtype=np.float64)
 
