@@ -44,6 +44,7 @@ from .errors import (
     InvalidArgumentError,
     SchemaError,
     UnsupportedModelError,
+    UsageError,
 )
 from .evaluation import (
     EvalReport,

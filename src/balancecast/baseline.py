@@ -2,7 +2,8 @@
 
 An h-step-ahead forecast issued at time t can observe the series only up to
 t, so the persistence forecast for the value at t is the target observed h
-steps earlier. Any smaller lag would leak future information.
+steps earlier. Any smaller lag would leak future information. The model
+stores nothing: it lags by the ``horizon_steps`` of the data it predicts.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientHistoryError, Settings, check_bound, setting
+from .errors import InsufficientHistoryError, check_bound
 
 
 @dataclass(frozen=True)
-class NaiveModel(Settings):
-    horizon_steps: int = setting(low=1)
+class NaiveModel:
+    """The persistence model, which has no fields."""
 
 
 def naive_forecast(series, horizon_steps: int, idx):

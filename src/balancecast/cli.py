@@ -8,8 +8,9 @@ features it was trained on. Flags may also be supplied through a JSON
 config file (--config); explicit flags win.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric/training
-error. Each error class carries its code as ``exit_code`` (errors.py, and
-UsageError here); an OS error on any file is a data error (3).
+error. Each error class carries its code as ``exit_code`` (errors.py); an
+OS error on any file is a data error (3). Each flag's bound is checked once,
+by ``check_bound`` where its value is used.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .data import (
 )
 from .ebm import EbmConfig, ebm_predict, explain_local, save_global_explanation
 from .errors import (
-    BalancecastError, InvalidArgumentError, SchemaError, UnsupportedModelError, check_bound
+    BalancecastError, InvalidArgumentError, SchemaError, UnsupportedModelError, UsageError,
+    check_bound,
 )
 from .evaluation import evaluate, expanding_window_folds, model_spec
 from .gbt import GbtConfig
@@ -70,16 +72,6 @@ CONFIG_FLAGS = (
     ("spike_prob", "synth", "spike_prob"),
     ("spike_scale", "synth", "spike_scale"),
 )
-
-
-# The lower bound of each flag that no config holds: a value outside it is a
-# usage error, one that the data cannot serve (past its last row) a data error.
-FLAG_BOUNDS = {"horizon_steps": 1, "initial_train": 1, "test_len": 1, "epsilon": 0, "row": 0}
-
-
-class UsageError(BalancecastError):
-    """Bad flag combination or value."""
-    exit_code = 2
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -213,13 +205,6 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _check_flag_bounds(args) -> None:
-    for name, low in FLAG_BOUNDS.items():
-        if getattr(args, name, None) is not None:
-            integer = args.flag_actions[name].type is int
-            check_bound(name, getattr(args, name), low, integer=integer, error=UsageError)
-
-
 def _get(args, name: str, fallback):
     value = getattr(args, name, None)
     return fallback if value is None else value
@@ -250,9 +235,8 @@ def _load_dataset(args) -> Dataset:
     return load_csv(data)
 
 
-def _aligned(args) -> tuple[Dataset, int]:
-    horizon = _get(args, "horizon_steps", DEFAULT_HORIZON_STEPS)
-    return align_horizon(_load_dataset(args), horizon), horizon
+def _aligned(args) -> Dataset:
+    return align_horizon(_load_dataset(args), _get(args, "horizon_steps", DEFAULT_HORIZON_STEPS))
 
 
 def _config(args, name: str, **given):
@@ -268,13 +252,11 @@ def _config(args, name: str, **given):
         raise UsageError(f"bad {name} config: {exc}") from None
 
 
-def _kind_config(args, kind: str, horizon: int):
-    """The cfg that KINDS[kind].train takes, from the flags."""
-    if kind == "naive":
-        return horizon
+def _kind_config(args, kind: str):
+    """The cfg that KINDS[kind].train takes, from the flags; None for naive."""
     if kind == "stacked":
         return _config(args, "ebm"), _config(args, "meta")
-    return _config(args, kind)
+    return _config(args, kind) if kind in CONFIG_DEFAULTS else None
 
 
 def cmd_synth(args) -> None:
@@ -290,13 +272,13 @@ def cmd_train(args) -> None:
     kind = getattr(args, "model", None)
     if kind not in KINDS:
         raise UsageError(f"--model must be one of {', '.join(KINDS)}, got {kind!r}")
-    aligned, horizon = _aligned(args)
-    cfg = _kind_config(args, kind, horizon)
+    aligned = _aligned(args)
+    cfg = _kind_config(args, kind)
     _out_path(args)
     model = KINDS[kind].train(aligned, cfg)
     out = _out_dir(args)
-    save_model(model, horizon, out / "model.json")
-    print(f"wrote {out / 'model.json'} (kind={kind}, horizon={horizon})")
+    save_model(model, aligned.horizon_steps, out / "model.json")
+    print(f"wrote {out / 'model.json'} (kind={kind}, horizon={aligned.horizon_steps})")
 
 
 def _model_and_data(args):
@@ -319,8 +301,8 @@ def _model_and_data(args):
 def cmd_predict(args) -> None:
     kind, horizon, model, raw = _model_and_data(args)
     aligned = align_horizon(raw, horizon)
-    # The persistence forecast needs horizon_steps rows of history.
-    rows = slice(getattr(model, "horizon_steps", 0), aligned.n_rows)
+    # The persistence forecast needs horizon rows of history.
+    rows = slice(horizon if kind == "naive" else 0, aligned.n_rows)
     preds = KINDS[kind].predict(model, aligned, rows)
     out = _out_dir(args)
     issued = aligned.timestamps[rows]
@@ -330,17 +312,13 @@ def cmd_predict(args) -> None:
 
 
 def _backtest(args):
-    """(aligned data, horizon, folds, evaluate() keywords) for evaluate and
-    grid; evaluate() keeps its defaults for the options not given."""
-    aligned, horizon = _aligned(args)
-    initial_train = getattr(args, "initial_train", None)
-    test_len = getattr(args, "test_len", None)
-    if initial_train is None or test_len is None:
-        raise UsageError("--initial-train and --test-len are required")
-    folds = expanding_window_folds(aligned.n_rows, initial_train, test_len)
+    """(aligned data, folds, evaluate() keywords) for evaluate and grid; the
+    fold flags have no default, and evaluate() keeps its own for the rest."""
+    aligned = _aligned(args)
+    folds = expanding_window_folds(aligned.n_rows, args.initial_train, args.test_len)
     given = {name: getattr(args, name, None) for name in ("epsilon", "label", "direction")}
     options = {name: v for name, v in given.items() if v is not None}
-    return aligned, horizon, folds, options
+    return aligned, folds, options
 
 
 def cmd_evaluate(args) -> None:
@@ -352,8 +330,8 @@ def cmd_evaluate(args) -> None:
             raise UsageError(f"unknown model kind {name!r}")
         if name in names[:i]:
             raise UsageError(f"--models lists {name!r} more than once")
-    aligned, horizon, folds, options = _backtest(args)
-    specs = [model_spec(name, _kind_config(args, name, horizon)) for name in names]
+    aligned, folds, options = _backtest(args)
+    specs = [model_spec(name, _kind_config(args, name)) for name in names]
     _out_path(args)
     report = evaluate(specs, aligned, folds, **options)
     out = _out_dir(args)
@@ -369,13 +347,14 @@ def cmd_explain(args) -> None:
             f"explain requires an ebm model file, got kind={kind!r}"
         )
     row = getattr(args, "row", None)
-    if row is not None and row >= d.n_rows:
-        raise InvalidArgumentError(f"--row {row} out of range for {d.n_rows} rows")
     if row is None:
         out = _out_dir(args)
         save_global_explanation(model, d, out)
         print(f"wrote {out / 'importance.csv'}, {out / 'shapes.csv'}")
     else:
+        check_bound("row", row, 0, integer=True)
+        if row >= d.n_rows:
+            raise InvalidArgumentError(f"--row {row} out of range for {d.n_rows} rows")
         x = d.features[row]
         rows = [*explain_local(model, x), ("__intercept__", model.intercept)]
         rows.append(("__prediction__", ebm_predict(model, x)))
@@ -413,7 +392,7 @@ def cmd_grid(args) -> None:
     grid = _parse_grid_params(getattr(args, "param", None) or [], CONFIG_DEFAULTS[kind])
     if not grid:
         raise UsageError("grid search needs at least one --param")
-    aligned, _horizon, folds, options = _backtest(args)
+    aligned, folds, options = _backtest(args)
     names = [name for name, _ in grid]
     combos = list(itertools.product(*(values for _, values in grid)))
     cfgs = [_config(args, kind, **dict(zip(names, c))) for c in combos]
@@ -436,7 +415,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _merge_config(args)
-        _check_flag_bounds(args)
         args.func(args)
         return 0
     except BalancecastError as exc:

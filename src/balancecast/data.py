@@ -104,15 +104,19 @@ class Dataset:
     Invariants enforced at construction: equal row counts everywhere, no
     non-finite values, and strictly consecutive timestamps (a gap-free
     grid). The spot price, where a harness needs it, is the feature named
-    ``spot``.
+    ``spot``. Each target is the price realized ``horizon_steps`` (an
+    integer >= 0) quarters after its row's timestamp: 0 as loaded, and what
+    ``align_horizon`` adds. It is the one record of the forecast horizon.
     """
 
     timestamps: np.ndarray = field(repr=False)
     features: np.ndarray = field(repr=False)
     target: np.ndarray = field(repr=False)
     schema: FeatureSchema
+    horizon_steps: int = 0
 
     def __post_init__(self):
+        check_bound("horizon_steps", self.horizon_steps, 0, integer=True)
         ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
         x = np.ascontiguousarray(self.features, dtype=np.float64)
         y = np.ascontiguousarray(self.target, dtype=np.float64)
@@ -159,7 +163,7 @@ class Dataset:
         return self.features[:, self.schema.index_of("spot")]
 
     def slice_rows(self, start: int, stop: int) -> "Dataset":
-        """Contiguous row window as a new Dataset (grid stays gap-free)."""
+        """Contiguous row window as a new Dataset (grid stays gap-free, horizon kept)."""
         return replace(
             self,
             timestamps=self.timestamps[start:stop],
@@ -168,7 +172,7 @@ class Dataset:
         )
 
     def with_target(self, target: np.ndarray) -> "Dataset":
-        """Same rows and features with a replacement target vector."""
+        """Same rows, features and horizon with a replacement target vector."""
         return replace(self, target=target)
 
 
@@ -177,7 +181,8 @@ def align_horizon(d: Dataset, horizon_steps: int) -> Dataset:
 
     Row i of the result carries the features observed at timestamp t_i and
     the price realized at t_(i+h), which is the supervised layout for an
-    h-step-ahead forecaster. The trailing h rows are dropped.
+    h-step-ahead forecaster. The trailing h rows are dropped, and h is added
+    to the horizon ``d`` already has: aligning by 2 and then by 3 gives 5.
     """
     check_bound("horizon_steps", horizon_steps, 1, integer=True)
     if horizon_steps >= d.n_rows:
@@ -186,7 +191,8 @@ def align_horizon(d: Dataset, horizon_steps: int) -> Dataset:
         )
     h = int(horizon_steps)
     return replace(
-        d, timestamps=d.timestamps[:-h], features=d.features[:-h], target=d.target[h:]
+        d, timestamps=d.timestamps[:-h], features=d.features[:-h], target=d.target[h:],
+        horizon_steps=d.horizon_steps + h,
     )
 
 

@@ -207,6 +207,7 @@ def _fit_leaf_steps(plan: SplitPlan, sums: np.ndarray, max_leaves: int) -> np.nd
     return delta
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused at the end
 def ebm_train(d: Dataset, cfg: EbmConfig = EbmConfig()) -> EbmModel:
     """Round-robin cyclic boosting of per-feature shape functions.
 
@@ -253,6 +254,8 @@ def ebm_train(d: Dataset, cfg: EbmConfig = EbmConfig()) -> EbmModel:
     shapes = tuple(
         ShapeFunction(feature_index=j, values=shape_values[j]) for j in range(p)
     )
+    if not np.isfinite(intercept):  # the target's mean or a shape's overflows
+        raise InvalidArgumentError("EBM intercept must be finite")
     return EbmModel(
         intercept=intercept,
         shapes=shapes,

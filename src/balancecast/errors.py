@@ -15,6 +15,11 @@ class InvalidArgumentError(BalancecastError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class UsageError(InvalidArgumentError):
+    """A value outside its bound, or a bad flag or flag combination."""
+    exit_code = 2
+
+
 class SchemaError(BalancecastError, ValueError):
     """Column names, order, or dimensions do not match the expected schema."""
 
@@ -42,10 +47,8 @@ class UnsupportedModelError(BalancecastError, ValueError):
     exit_code = 2
 
 
-def check_bound(
-    name: str, value, low, high=None, *, above=False, integer=False, error=InvalidArgumentError
-) -> None:
-    """Raise ``error`` unless ``value`` is a number with ``low <= value``
+def check_bound(name: str, value, low, high=None, *, above=False, integer=False) -> None:
+    """Raise UsageError unless ``value`` is a number with ``low <= value``
     (``low < value`` if ``above``) and ``value <= high``. An ``integer``
     value must be an int and never a bool; any other value is a real
     number, not a bool, and finite."""
@@ -66,7 +69,7 @@ def check_bound(
         rule = "an integer " + rule
     elif high is None:
         rule = "finite and " + rule
-    raise error(f"{name} must be {rule}, got {value!r}")
+    raise UsageError(f"{name} must be {rule}, got {value!r}")
 
 
 def setting(default=dataclasses.MISSING, *, low, high=None, above=False):

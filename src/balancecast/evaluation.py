@@ -3,14 +3,14 @@
 One fold runner, run_folds, does all fitting: each fold trains fresh models
 on all rows before its test window and predicts the window that follows, so
 every training issue time precedes the test segment; the stack reuses the
-fold's EBM when the ebm model has the same config. In a horizon-aligned
-dataset the targets are prices realized h steps after the issue times, so
-those of the last h - 1 training rows are realized after the test window
-opens: no embargo drops them yet. evaluate pools the test predictions across
-folds into one segment and reports it twice: once as-is and once keeping
-only deviation events, the rows where the realized price moved away from
-the spot anchor by more than epsilon. The spot anchor is the dataset's
-``spot`` feature; a dataset without one cannot be evaluated.
+fold's EBM when the ebm model has the same config. In a dataset aligned at
+h (``d.horizon_steps``) the targets are prices realized h steps after the
+issue times, so those of the last h - 1 training rows are realized after
+the test window opens: no embargo drops them yet. evaluate pools the test
+predictions across folds into one segment and reports it twice: once as-is
+and once keeping only deviation events, the rows where the realized price
+moved away from the spot anchor by more than epsilon. The spot anchor is
+the dataset's ``spot`` feature; a dataset without one cannot be evaluated.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class Metrics:
 
     ``r2`` is None when the evaluated targets are constant, in which case
     the usual definition divides by zero, or vary so little that the ratio
-    overflows; MAE and RMSE are still valid.
+    overflows; MAE and RMSE are still valid. RMSE is finite wherever it is
+    representable: squared errors that overflow are rescaled by the largest.
     """
 
     mae: float
@@ -40,6 +41,7 @@ class Metrics:
     r2: float | None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is handled where it happens
 def compute_metrics(y, y_hat) -> Metrics:
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
@@ -54,6 +56,9 @@ def compute_metrics(y, y_hat) -> Metrics:
     err = y - y_hat
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err**2)))
+    if rmse == np.inf and np.isfinite(err).all():
+        scale = float(np.abs(err).max())
+        rmse = scale * float(np.sqrt(np.mean((err / scale) ** 2)))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         return Metrics(mae=mae, rmse=rmse, r2=None)
@@ -163,6 +168,12 @@ def _report_cells(row: EvalRow) -> list:
     ]
 
 
+def _column(value: float, width: int) -> str:
+    """``value`` in ``width`` characters with 4 decimals, or in e-notation if wider."""
+    text = f"{value:{width}.4f}"
+    return text if len(text) <= width else f"{value:{width}.{width - 8}e}"
+
+
 @dataclass
 class EvalReport:
     """Metric rows plus the pooled test segment they were computed on: its
@@ -206,9 +217,9 @@ class EvalReport:
         lines = [header, "-" * len(header)]
         for row in self.rows:
             m = row.metrics
-            mae = f"{m.mae:10.4f}" if m else " " * 10
-            rmse = f"{m.rmse:10.4f}" if m else " " * 10
-            r2 = f"{m.r2:9.4f}" if m and m.r2 is not None else " " * 9
+            mae = _column(m.mae, 10) if m else " " * 10
+            rmse = _column(m.rmse, 10) if m else " " * 10
+            r2 = _column(m.r2, 9) if m and m.r2 is not None else " " * 9
             removed = f"{100.0 * row.removal_fraction:7.2f}%"
             lines.append(
                 f"{row.label:<12} {row.direction:<5} {row.model:<10} "

@@ -300,6 +300,7 @@ class GbtModel:
     train_mse: tuple[float, ...] = field(repr=False, default=())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused at the end
 def gbt_train(d: Dataset, cfg: GbtConfig = GbtConfig()) -> GbtModel:
     """Boost ``cfg.n_trees`` trees against the running squared-loss gradient."""
     n = d.n_rows

@@ -19,7 +19,7 @@ import numpy as np
 from . import ebm, gbt, stacking
 from .baseline import NaiveModel, naive_forecast
 from .data import FeatureSchema, read_json_object, write_json
-from .errors import InvalidArgumentError, SchemaError, UnsupportedModelError, check_bound
+from .errors import SchemaError, UnsupportedModelError, check_bound
 
 
 def _blocks(m) -> dict:
@@ -211,12 +211,12 @@ def stacked_from_dict(doc: dict) -> stacking.StackedModel:
 class ModelKind:
     """One model kind.
 
-    ``train(d, cfg, fitted=None)`` fits a model, where ``cfg`` is the
-    forecast horizon for naive, a ``GbtConfig`` for gbt, an ``EbmConfig`` for
-    ebm and an ``(EbmConfig, GbtConfig)`` pair for stacked. Both of the last
-    two take the EBM from ``fitted[ebm_cfg]`` (EBMs already fitted on ``d``)
-    or fit it and store it there. ``predict(model, d, rows)`` forecasts the
-    rows of ``d`` that ``rows`` (an index array or a slice) selects.
+    ``train(d, cfg, fitted=None)`` fits a model, where ``cfg`` is None (and
+    ignored) for naive, a ``GbtConfig`` for gbt, an ``EbmConfig`` for ebm and
+    an ``(EbmConfig, GbtConfig)`` pair for stacked. Both of the last two take
+    the EBM from ``fitted[ebm_cfg]`` or fit it on ``d`` and store it there.
+    ``predict(model, d, rows)`` forecasts the rows of ``d`` that ``rows`` (an
+    index array or a slice) selects; naive lags them by ``d.horizon_steps``.
     """
 
     name: str
@@ -243,10 +243,10 @@ KINDS = {
         ModelKind(
             name="naive",
             model_type=NaiveModel,
-            train=lambda d, horizon, fitted=None: NaiveModel(horizon_steps=horizon),
-            predict=lambda m, d, rows: naive_forecast(d.target, m.horizon_steps, rows),
-            to_dict=lambda m: {"horizon_steps": m.horizon_steps},
-            from_dict=lambda doc: NaiveModel(horizon_steps=doc["horizon_steps"]),
+            train=lambda d, cfg, fitted=None: NaiveModel(),
+            predict=lambda m, d, rows: naive_forecast(d.target, d.horizon_steps, rows),
+            to_dict=lambda m: {},
+            from_dict=lambda doc: NaiveModel(),
         ),
         ModelKind(
             name="gbt",
@@ -283,11 +283,6 @@ def save_model(model, horizon_steps: int, path) -> None:
     if kind is None:
         raise UnsupportedModelError(f"cannot persist {type(model).__name__}")
     check_bound("horizon_steps", horizon_steps, 1, integer=True)
-    # predict aligns rows by the file's horizon, so a naive model's must agree.
-    if getattr(model, "horizon_steps", horizon_steps) != horizon_steps:
-        raise InvalidArgumentError(
-            f"naive horizon_steps {model.horizon_steps} cannot be saved as {horizon_steps}"
-        )
     doc = {"kind": kind.name, "horizon_steps": int(horizon_steps), "model": kind.to_dict(model)}
     write_json(path, doc)
 
@@ -302,10 +297,10 @@ def load_model(path):
         horizon = doc["horizon_steps"]
         check_bound("horizon_steps", horizon, 1, integer=True)
         model = kind.from_dict(doc["model"])
+        # Earlier naive files repeat the horizon in the model; {**} refuses a non-object.
+        inner = {**doc["model"]}.get("horizon_steps", horizon) if kind.name == "naive" else horizon
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(f"malformed {kind.name} model file {path}: {exc!r}") from None
-    if getattr(model, "horizon_steps", horizon) != horizon:
-        raise SchemaError(
-            f"model file {path}: naive horizon_steps {model.horizon_steps} is not {horizon}"
-        )
+    if inner != horizon:
+        raise SchemaError(f"model file {path}: naive horizon_steps {inner!r} is not {horizon}")
     return kind.name, horizon, model

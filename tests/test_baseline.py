@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from balancecast import (
     InsufficientHistoryError,
     InvalidArgumentError,
-    NaiveModel,
     naive_forecast,
 )
 
@@ -35,8 +34,6 @@ def test_insufficient_history():
 def test_horizon_validation():
     with pytest.raises(InvalidArgumentError):
         naive_forecast([1, 2, 3], 0, 2)
-    with pytest.raises(InvalidArgumentError):
-        NaiveModel(horizon_steps=0)
 
 
 @given(

@@ -315,6 +315,18 @@ class TestPredict:
         assert_clean_error(code, stderr, 3)
         assert not (tmp_path / "p").exists()
 
+    def test_earlier_naive_file_whose_horizons_agree_predicts_the_same_bytes(self, data_dir, tmp_path):
+        data = str(data_dir / "dataset.csv")
+        model = tmp_path / "m" / "model.json"
+        assert run("train", "--model", "naive", "--data", data, "--out", str(model.parent)) == 0
+        assert model.read_text() == '{"kind": "naive", "horizon_steps": 32, "model": {}}\n'
+        earlier = tmp_path / "earlier.json"
+        earlier.write_text(json.dumps({"kind": "naive", "horizon_steps": 32, "model": {"horizon_steps": 32}}))
+        for name, path in (("p", model), ("p-earlier", earlier)):
+            assert run("predict", "--model", str(path), "--data", data, "--out", str(tmp_path / name)) == 0
+        predictions = [(tmp_path / name / "predictions.csv").read_bytes() for name in ("p", "p-earlier")]
+        assert predictions[0] == predictions[1]
+
     def test_predictions_written(self, data_dir, tmp_path):
         model_dir = tmp_path / "m"
         run(
@@ -1299,8 +1311,51 @@ def _with_extreme_column(src, dst, column):
     return dst
 
 
+def _with_target(src, dst, value):
+    """``src`` with row i's target replaced by ``value(i)``."""
+    with src.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    for i, row in enumerate(rows[1:]):
+        row[-1] = repr(float(value(i)))
+    with dst.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return dst
+
+
 class TestExtremeValues:
     SMALL = ("--n-trees", "5", "--outer-rounds", "5", "--meta-n-trees", "5")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--model", "gbt"], ["--model", "ebm"], ["--model", "ebm", "--outer-rounds", "0"],
+         ["--model", "stacked"]],
+        ids=["gbt", "ebm", "ebm-0-rounds", "stacked"],
+    )
+    def test_target_whose_mean_overflows_exits_3_with_one_line(self, data_dir, tmp_path, argv):
+        # The target alternates 1.6e308 and 1.7e308: its sum, and so its mean, overflows.
+        data = _with_target(
+            data_dir / "dataset.csv", tmp_path / "x.csv", lambda i: (1.6e308, 1.7e308)[i % 2]
+        )
+        code, stderr = run_process("train", "--data", str(data), *self.SMALL, *argv, "--out", "m", cwd=tmp_path)
+        assert code == 3 and len(stderr.splitlines()) == 1 and stderr.startswith("error: "), stderr
+        assert not (tmp_path / "m").exists()
+
+    def test_rmse_whose_squares_overflow_is_finite(self, data_dir, tmp_path):
+        u = np.random.default_rng(0).uniform(0, 1e305, 700)
+        data = _with_target(data_dir / "dataset.csv", tmp_path / "x.csv", lambda i: 1.7e308 - u[i])
+        code, stderr = run_process(
+            "evaluate", "--data", str(data), "--models", "naive", "--initial-train", "300",
+            "--test-len", "100", "--out", "e", cwd=tmp_path,
+        )
+        assert code == 0 and stderr == "", stderr
+        with (tmp_path / "e" / "report.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            mae, rmse = float(row["mae"]), float(row["rmse"])
+            assert math.isfinite(rmse) and 1e303 < mae <= rmse < 1e305
+        header, *lines = (tmp_path / "e" / "report.txt").read_text().splitlines()
+        assert all(len(line) == len(header) for line in lines)
+        assert f"{float(rows[0]['rmse']):10.2e}" in lines[-1]
 
     @pytest.mark.parametrize("kind", ["gbt", "ebm", "stacked"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.diff of the loaded cuts overflows

@@ -763,6 +763,36 @@ class TestAlignHorizon:
         )
         a = align_horizon(d, h)
         assert np.all(a.target - a.features[:, 0] == h)
+        assert a.horizon_steps == h
+
+
+class TestDatasetHorizon:
+    """``Dataset.horizon_steps`` records how far each target lies past its
+    row's timestamp: 0 as built or loaded, composed by ``align_horizon`` and
+    kept by the row and target replacements."""
+
+    def test_loaded_data_has_horizon_0(self, tmp_path):
+        d = make_dataset(np.arange(10.0).reshape(5, 2), np.arange(5.0))
+        save_csv(d, tmp_path / "d.csv")
+        assert d.horizon_steps == load_csv(tmp_path / "d.csv").horizon_steps == 0
+
+    def test_align_sets_and_composes_it(self):
+        d = make_dataset(np.zeros((10, 2)), np.arange(10.0))
+        assert align_horizon(d, 2).horizon_steps == 2
+        twice = align_horizon(align_horizon(d, 2), 3)
+        assert twice.horizon_steps == 5
+        assert np.array_equal(twice.target, align_horizon(d, 5).target)
+
+    def test_slice_and_with_target_keep_it(self):
+        a = align_horizon(make_dataset(np.zeros((10, 2)), np.arange(10.0)), 3)
+        assert a.slice_rows(1, 4).horizon_steps == 3
+        assert a.with_target(np.zeros(a.n_rows)).horizon_steps == 3
+
+    @pytest.mark.parametrize("h", [-1, 1.5, True])
+    def test_refused_unless_an_integer_at_least_0(self, h):
+        d = make_dataset(np.zeros((3, 2)), [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidArgumentError, match="horizon_steps must be an integer >= 0"):
+            replace(d, horizon_steps=h)
 
 
 class TestGenerateSynthetic:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from balancecast import EbmConfig, GbtConfig, InvalidArgumentError, NaiveModel, SyntheticConfig
+from balancecast import EbmConfig, GbtConfig, InvalidArgumentError, SyntheticConfig, UsageError
 from balancecast.errors import check_bound
 from balancecast.stacking import META_GBT_DEFAULTS
 
@@ -13,7 +13,6 @@ SETTINGS = {
     "EbmConfig": EbmConfig(),
     "META_GBT_DEFAULTS": META_GBT_DEFAULTS,
     "SyntheticConfig": SyntheticConfig(),
-    "NaiveModel": NaiveModel(1),
 }
 FIELDS = [
     (name, f.name, type(getattr(base, f.name)))
@@ -47,6 +46,12 @@ def test_check_bound_message(args, kwargs, message):
     with pytest.raises(InvalidArgumentError) as info:
         check_bound(*args, **kwargs)
     assert str(info.value) == message
+
+
+def test_check_bound_raises_a_usage_error_with_exit_code_2():
+    with pytest.raises(UsageError) as info:
+        check_bound("row", -1, 0, integer=True)
+    assert info.value.exit_code == 2 and isinstance(info.value, InvalidArgumentError)
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,14 @@ from balancecast import (
     Dataset,
     EbmConfig,
     EvalReport,
+    EvalRow,
     FeatureSchema,
     FoldSpec,
     GbtConfig,
     InvalidArgumentError,
     Metrics,
     ModelSpec,
+    align_horizon,
     compute_metrics,
     evaluate,
     expanding_window_folds,
@@ -72,6 +74,19 @@ class TestComputeMetrics:
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             compute_metrics([1.0, 2.0], [1.0])
+
+    def test_rmse_whose_squares_overflow_is_finite(self):
+        # Errors of 1e200 and 2e200: their squares overflow, their RMSE does not.
+        y_hat = np.array([0.0, 0.0, 1e200])
+        m = compute_metrics([1e200, -2e200, 1e200], y_hat)
+        assert m.rmse == 2e200 * math.sqrt((0.25 + 1.0 + 0.0) / 3) and m.r2 is None
+        assert m.mae == pytest.approx(1e200)
+
+    def test_wide_metric_is_printed_in_e_notation(self):
+        report = EvalReport(issue_timestamps=np.arange(2), actual=np.zeros(2))
+        report.rows.append(EvalRow("x", "up", "m", False, 2, 2, Metrics(3.07e304, 12.5, -1e6)))
+        header, _, line = report.format_table().splitlines()
+        assert line.endswith(" 3.07e+304    12.5000  -1.0e+06") and len(line) == len(header)
 
     def test_needs_two_points(self):
         with pytest.raises(InvalidArgumentError):
@@ -248,7 +263,7 @@ class TestEvaluate:
         assert report.rows[0].n_orig == report.rows[0].n_filter == 20
 
     def test_oracle_dominates_naive_and_mean(self):
-        d = tiny_dataset(n=60, seed=3)
+        d = align_horizon(tiny_dataset(n=64, seed=3), 4)
         folds = expanding_window_folds(d.n_rows, 30, 10)
         report = evaluate(
             [oracle_spec(), model_spec("naive", 4), mean_spec()], d, folds, epsilon=0.1
@@ -259,6 +274,16 @@ class TestEvaluate:
             assert oracle.mae < other.mae
             assert oracle.rmse < other.rmse
             assert oracle.r2 > other.r2
+
+    @pytest.mark.parametrize("cfg", [None, 4, 32])
+    def test_naive_forecast_is_the_price_at_the_issue_time(self, spiky_data, cfg):
+        # The naive model lags by the data's horizon, whatever cfg it is given.
+        raw = spiky_data[0].slice_rows(0, 600)
+        aligned = align_horizon(raw, 32)
+        folds = expanding_window_folds(aligned.n_rows, 300, 100)
+        report = evaluate([model_spec("naive", cfg)], aligned, folds)
+        issue_rows = report.issue_timestamps - raw.timestamps[0]
+        assert np.array_equal(report.predictions["naive"], raw.target[issue_rows])
 
     def test_pooled_mae_matches_bruteforce(self):
         d = tiny_dataset(n=50, seed=5)

@@ -301,6 +301,18 @@ class TestMatchesReference:
             warnings.simplefilter("error")
             gbt_train(sub, GbtConfig(n_trees=20, **params))
 
+    @pytest.mark.parametrize(
+        "params", [{"reg_lambda": 0.0}, {"min_child_weight": 3.0}], ids=["reg_lambda=0.0", "min_child_weight=3.0"]
+    )
+    def test_fit_tree_on_synth_raises_no_runtime_warning(self, params):
+        """gbt_train ignores overflow and invalid-value warnings, which it
+        checks for at the end; fit_tree alone still makes no NaN."""
+        dataset, _ = generate_synthetic(SyntheticConfig(n_rows=2000, seed=1))
+        sub = align_horizon(dataset, 32).slice_rows(0, 1200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_tree(sub, sub.target.mean() - sub.target, GbtConfig(max_depth=6, **params))
+
 
 class TestTreeNode:
     def test_keyword_construction(self):

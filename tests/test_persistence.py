@@ -142,14 +142,30 @@ def test_naive_file_whose_horizons_differ_is_schema_error(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("horizon", [32, 0, 4.0])
+@pytest.mark.parametrize("horizon", [0, 4.0])
 def test_naive_model_is_saved_only_under_its_own_horizon(horizon, tmp_path):
+    # A naive model stores no horizon: the file's, an integer >= 1, is its own.
     path = tmp_path / "model.json"
     with pytest.raises(InvalidArgumentError, match="horizon_steps"):
-        save_model(NaiveModel(4), horizon, path)
+        save_model(NaiveModel(), horizon, path)
     assert not path.exists()
-    save_model(NaiveModel(4), 4, path)
-    assert load_model(path) == ("naive", 4, NaiveModel(4))
+    save_model(NaiveModel(), 32, path)
+    assert path.read_text() == '{"kind": "naive", "horizon_steps": 32, "model": {}}\n'
+    assert load_model(path) == ("naive", 32, NaiveModel())
+
+
+@pytest.mark.parametrize("model", [[], "{}", 4, None])
+def test_naive_model_that_is_not_an_object_is_schema_error(model, tmp_path):
+    path = tmp_path / "model.json"
+    write_json(path, {"kind": "naive", "horizon_steps": 32, "model": model})
+    with pytest.raises(SchemaError, match="malformed naive model file"):
+        load_model(path)
+
+
+def test_earlier_naive_file_whose_horizons_agree_loads(tmp_path):
+    path = tmp_path / "model.json"
+    write_json(path, {"kind": "naive", "horizon_steps": 32, "model": {"horizon_steps": 32}})
+    assert load_model(path) == ("naive", 32, NaiveModel())
 
 
 def test_tree_nested_too_deeply_is_schema_error(tiny_data, tmp_path, monkeypatch):
