@@ -280,7 +280,7 @@ def write_csv(path, header: list[str], columns) -> None:
 
     def chunk(lo: int) -> str:
         cols = [_cells(col, slice(lo, lo + _CSV_CHUNK_ROWS)) for col in columns]
-        return "".join([",".join(row) + "\n" for row in zip(*cols)])
+        return "\n".join(map(",".join, zip(*cols))) + "\n"
 
     with Path(path).open("w", newline="") as fh:
         fh.write(csv_line(header))

@@ -56,9 +56,14 @@ def compute_metrics(y, y_hat) -> Metrics:
     err = y - y_hat
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err**2)))
-    if rmse == np.inf and np.isfinite(err).all():
+    # A mean that overflows, of errors that do not, is taken over the errors
+    # scaled by their largest.
+    if np.inf in (mae, rmse) and np.isfinite(err).all():
         scale = float(np.abs(err).max())
-        rmse = scale * float(np.sqrt(np.mean((err / scale) ** 2)))
+        if mae == np.inf:
+            mae = scale * float(np.mean(np.abs(err / scale)))
+        if rmse == np.inf:
+            rmse = scale * float(np.sqrt(np.mean((err / scale) ** 2)))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         return Metrics(mae=mae, rmse=rmse, r2=None)

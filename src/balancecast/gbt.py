@@ -22,15 +22,22 @@ the rows, over every column of its contiguous block; the Hessian sums on
 either side of a candidate are row counts, so ``min_child_weight`` is a
 range of candidate positions, and one mask drops ties and the columns
 outside it. A child that must be a leaf (at max_depth, or one row) gets no
-blocks. Splits read each feature as one contiguous row of x.T. Batch
-prediction reads the columns of x in place, holds one tree's layout at a
-time and scores each tree of at most 64 leaves by bitvectors over
-per-feature threshold codes (QuickScorer), in row-sized scratch arrays
-allocated once per call; a larger tree partitions its rows first."""
+blocks. Splits read each feature as one contiguous row of x.T.
+
+A model holds its trees as flat pre-order arrays, as XGBoost does: per node
+its feature, its value and its right child's index, the nodes of every tree
+one after another. Training packs each tree into them as it is grown; a
+nested TreeNode tree is built only when asked for. A single row walks every tree at once,
+one level per step. Batch prediction reads the columns of x in place, lays
+out one tree at a time from its slice of the arrays and scores each tree of
+at most 64 leaves by bitvectors over per-feature threshold codes
+(QuickScorer), in row-sized scratch arrays allocated once per call; a larger
+tree partitions its rows first."""
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import and_
@@ -86,6 +93,20 @@ class TreeNode(NamedTuple):
         return self.weight is not None
 
 
+def _tree_node(feature: list, value: list) -> TreeNode:
+    """The nested tree of one tree's pre-order lists, built in one pass from
+    its last node back: a leaf is pushed, and a split takes the top two
+    subtrees as its left and right."""
+    built = []
+    for f, v in zip(reversed(feature), reversed(value)):
+        if f < 0:
+            built.append(TreeNode(v))
+        else:
+            left = built.pop()
+            built.append(TreeNode(None, f, v, left, built.pop()))
+    return built[0]
+
+
 # Leaves per uint64 bitvector, all its bits, and the float 2.0**k's exponent field less k.
 _WORD, _ALL, _BIAS = 64, 2**64 - 1, 1023
 # The most splits on any root-to-leaf path that _layout and _score_tree, one
@@ -93,21 +114,23 @@ _WORD, _ALL, _BIAS = 64, 2**64 - 1, 1023
 MAX_DEPTH = 980
 
 
-def _layout(node: TreeNode, lr: float, outputs: list, nodes: list) -> None:
-    """Append lr times each leaf weight under ``node`` to ``outputs``, left to
-    right, and its splits to ``nodes`` in pre-order as (feature, threshold, bits
-    of its left leaves, its first right leaf)."""
-    if node.weight is not None:
-        outputs.append(lr * node.weight)
+def _layout(tree, i: int, lr: float, outputs: list, nodes: list) -> None:
+    """Append lr times each leaf weight under node ``i`` of ``tree``, a
+    (feature, value, right) triple of lists, to ``outputs``, left to right,
+    and its splits to ``nodes`` in pre-order as (feature, threshold, bits of
+    its left leaves, its first right leaf)."""
+    feature, value, right = tree
+    if feature[i] < 0:
+        outputs.append(lr * value[i])
         return
-    if node.threshold != node.threshold:  # NaN: every row goes right
-        return _layout(node.right, lr, outputs, nodes)
+    if value[i] != value[i]:  # NaN: every row goes right
+        return _layout(tree, right[i], lr, outputs, nodes)
     at, first = len(nodes), len(outputs)
     nodes.append(None)
-    _layout(node.left, lr, outputs, nodes)
+    _layout(tree, i + 1, lr, outputs, nodes)
     mid = len(outputs)
-    nodes[at] = (node.feature, node.threshold, (1 << mid) - (1 << first), mid)
-    _layout(node.right, lr, outputs, nodes)
+    nodes[at] = (feature[i], value[i], (1 << mid) - (1 << first), mid)
+    _layout(tree, right[i], lr, outputs, nodes)
 
 
 def _score_tree(leaves, nodes, i, lo, hi, codes, x, acc, rows, scratch) -> None:
@@ -236,8 +259,10 @@ def _child_block(block, keep: np.ndarray):
     return (features, order, values) if live.all() else (features[live], order[live], values[live])
 
 
-def _grow_tree(cols, block, denoms, g, cfg: GbtConfig, out: np.ndarray) -> TreeNode:
-    """Grow one tree depth-first and write each row's leaf weight into ``out``.
+def _grow_tree(cols, block, denoms, g, cfg: GbtConfig, out: np.ndarray) -> tuple[list, list]:
+    """Grow one tree depth-first, write each row's leaf weight into ``out``
+    and return the tree's pre-order (feature, value) lists, as GbtModel
+    holds them.
 
     The first three arguments come from _fit_constants. A node holds its rows
     in ascending order (``idx``, which fixes the summation order of its
@@ -248,8 +273,9 @@ def _grow_tree(cols, block, denoms, g, cfg: GbtConfig, out: np.ndarray) -> TreeN
     # reads only the entries of its own rows.
     side = np.empty(cols.shape[1], dtype=bool)
     max_depth, reg_lambda = cfg.max_depth, cfg.reg_lambda
+    features, values = [], []
 
-    def grow(idx: np.ndarray, block, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, block, depth: int) -> None:
         g_total = float(g[idx].sum())
         best = None
         if depth < max_depth and idx.size >= 2 and block[0].size:
@@ -257,8 +283,12 @@ def _grow_tree(cols, block, denoms, g, cfg: GbtConfig, out: np.ndarray) -> TreeN
         if best is None or best[0] <= 0.0:
             weight = leaf_weight(g_total, float(idx.size), reg_lambda)
             out[idx] = weight
-            return TreeNode(weight)
+            features.append(-1)
+            values.append(weight)
+            return
         _, feature, threshold = best
+        features.append(feature)
+        values.append(threshold)
         mask = cols[feature][idx] <= threshold
         left, right = idx[mask], idx[~mask]
         # A child at max_depth or with one row is a leaf and gets no block.
@@ -268,10 +298,11 @@ def _grow_tree(cols, block, denoms, g, cfg: GbtConfig, out: np.ndarray) -> TreeN
             sel = side[block[1]].ravel()
             left_block = _child_block(block, sel) if left.size >= 2 else None
             right_block = _child_block(block, ~sel) if right.size >= 2 else None
-        left = grow(left, left_block, depth + 1)
-        return TreeNode(None, feature, threshold, left, grow(right, right_block, depth + 1))
+        grow(left, left_block, depth + 1)
+        grow(right, right_block, depth + 1)
 
-    return grow(np.arange(cols.shape[1]), block, 0)
+    grow(np.arange(cols.shape[1]), block, 0)
+    return features, values
 
 
 def fit_tree(d: Dataset, g, cfg: GbtConfig) -> TreeNode:
@@ -282,22 +313,87 @@ def fit_tree(d: Dataset, g, cfg: GbtConfig) -> TreeNode:
         raise InvalidArgumentError("cannot fit a tree on an empty dataset")
     if len(g) != d.n_rows:
         raise InvalidArgumentError(f"{len(g)} gradients for {d.n_rows} rows")
-    return _grow_tree(*_fit_constants(d.features, cfg.reg_lambda), g, cfg, np.empty(d.n_rows))
+    return _tree_node(*_grow_tree(*_fit_constants(d.features, cfg.reg_lambda), g, cfg, np.empty(d.n_rows)))
 
 
 @dataclass(frozen=True, eq=False)
 class GbtModel:
     """Trained ensemble: base score plus shrunken tree outputs.
 
-    ``train_mse`` records the training mean squared error after the base
-    score and after each added tree (length n_trees + 1).
+    The trees are held as flat pre-order arrays (a node, its left subtree,
+    its right subtree), the model file's layout: per node, ``feature`` is
+    its split's schema index or -1 at a leaf and ``value`` the split's
+    threshold or the leaf's weight; tree k holds nodes ``starts[k]`` to
+    ``starts[k + 1] - 1``. The three are copied into read-only arrays, and
+    ``right`` is derived from them: each split's right child's index within
+    its tree, -1 at a leaf. ``train_mse`` records the training mean squared
+    error after the base score and after each added tree (length n_trees + 1).
     """
 
-    trees: tuple[TreeNode, ...]
+    feature: np.ndarray
+    value: np.ndarray
+    starts: np.ndarray
     base_score: float
     config: GbtConfig
     schema: FeatureSchema
     train_mse: tuple[float, ...] = field(repr=False, default=())
+    right: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        feature = np.array(self.feature, dtype=np.intp)
+        value = np.array(self.value, dtype=np.float64)
+        first = np.array(self.starts, dtype=np.intp)
+        # Counting +1 per split and -1 per leaf, a tree sums to -1 and every
+        # prefix of it to 0 or more. Tree k then starts at a sum of -k.
+        step = np.where(feature < 0, -1, 1)
+        total = np.cumsum(step)
+        sizes = np.diff(first)
+        if not (
+            first.size and first[0] == 0 and first[-1] == feature.size == value.size
+            and (sizes > 0).all()
+            and -1 <= feature.min(initial=-1) and feature.max(initial=-1) < len(self.schema)
+            and (total[first[1:] - 1] == -np.arange(1, first.size)).all()
+            and (total - step + np.repeat(np.arange(sizes.size), sizes) >= 0).all()
+        ):
+            raise InvalidArgumentError("feature, value and starts must hold the pre-order of whole trees")
+        # So a split's right child is the next node whose preceding nodes sum
+        # as the split's do: the one after it when the nodes are sorted
+        # stably by that sum.
+        order = np.argsort(total - step, kind="stable")
+        after = np.zeros_like(order)
+        after[order[:-1]] = order[1:]
+        right = np.where(feature < 0, -1, after - np.repeat(first[:-1], sizes))
+        for name, packed in (("feature", feature), ("value", value), ("starts", first), ("right", right)):
+            packed.flags.writeable = False
+            object.__setattr__(self, name, packed)
+
+    @classmethod
+    def from_trees(cls, trees, base_score: float, config: GbtConfig, schema: FeatureSchema,
+                   train_mse: tuple[float, ...] = ()) -> GbtModel:
+        """The model of nested ``trees``, laid out without recursion."""
+        features, values, starts = [], [], [0]
+        for root in trees:
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if node.weight is None:
+                    stack += node.right, node.left
+                    features.append(node.feature)
+                    values.append(node.threshold)
+                else:
+                    features.append(-1)
+                    values.append(node.weight)
+            starts.append(len(features))
+        return cls(features, values, starts, base_score, config, schema, train_mse)
+
+    @property
+    def trees(self) -> tuple[TreeNode, ...]:
+        """The trees as nested TreeNodes, built anew on each read."""
+        bounds = self.starts.tolist()
+        return tuple(
+            _tree_node(self.feature[a:b].tolist(), self.value[a:b].tolist())
+            for a, b in zip(bounds, bounds[1:])
+        )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused at the end
@@ -310,65 +406,70 @@ def gbt_train(d: Dataset, cfg: GbtConfig = GbtConfig()) -> GbtModel:
     base = float(y.mean())
     pred = np.full(n, base)
     mse = [float(np.mean((y - pred) ** 2))]
-    trees: list[TreeNode] = []
+    # Packed as each tree is grown, so that its Python objects are freed
+    # before the next one is grown.
+    feature, value, starts = array("q"), array("d"), [0]
     g = np.empty(n)
     # Features never change across trees: build what they share once.
     fit = _fit_constants(d.features, cfg.reg_lambda)
     leaf_out = np.empty(n)
     for _ in range(cfg.n_trees):
         np.subtract(pred, y, out=g)
-        trees.append(_grow_tree(*fit, g, cfg, leaf_out))
+        tree_feature, tree_value = _grow_tree(*fit, g, cfg, leaf_out)
+        feature.extend(tree_feature)
+        value.extend(tree_value)
+        starts.append(len(feature))
         pred = pred + cfg.learning_rate * leaf_out
         mse.append(float(np.mean((y - pred) ** 2)))
     if not np.isfinite(pred).all():  # the base score, a leaf weight or their sum overflows
         raise InvalidArgumentError("GBT training predictions must be finite")
-    return GbtModel(
-        trees=tuple(trees),
-        base_score=base,
-        config=cfg,
-        schema=d.schema,
-        train_mse=tuple(mse),
-    )
+    return GbtModel(feature, value, starts, base, cfg, d.schema, tuple(mse))
 
 
 def gbt_predict(m: GbtModel, x) -> float:
-    """base_score plus the learning-rate-scaled sum of tree outputs."""
-    # Python floats compare and add as numpy scalars do, only faster.
-    row = m.schema.check_features(x, 1).tolist()
+    """base_score plus the learning-rate-scaled sum of tree outputs, added in
+    tree order. Every tree is walked at once, one level per step: a split
+    sends the row to the node after it if its value is at most the
+    threshold, else to its right child."""
+    row = m.schema.check_features(x, 1)
+    first = at = m.starts[:-1]
+    feature = m.feature.take(at)
+    leaf = feature < 0
+    while not leaf.all():
+        go_left = row.take(feature, mode="clip") <= m.value.take(at)
+        at = np.where(leaf, at, np.where(go_left, at + 1, first + m.right.take(at)))
+        feature = m.feature.take(at)
+        leaf = feature < 0
     acc, lr = m.base_score, m.config.learning_rate
-    for node in m.trees:
-        while node[0] is None:
-            node = node[3] if row[node[1]] <= node[2] else node[4]
-        acc += lr * node[0]
+    for weight in m.value.take(at).tolist():
+        acc += lr * weight
     return float(acc)
 
 
 def gbt_predict_batch(m: GbtModel, x: np.ndarray) -> np.ndarray:
     """gbt_predict of every row, bit for bit. A row's code for a feature counts
-    the thresholds of all trees below its value (all of them for NaN); a table
-    has an entry per code present, found by the least threshold not below it.
-    Each tree is laid out just before it is scored."""
+    the split thresholds below its value (all of them for NaN); a table has
+    an entry per code present, found by the least threshold not below it.
+    The thresholds are those of every split but a NaN one, so also any in a
+    subtree that a NaN split makes unreachable: a finer grid of codes gives
+    the same table entries. Each tree is laid out from its slice of the
+    arrays just before it is scored."""
     x = m.schema.check_features(x, 2)
-    thresholds, stack = {}, list(m.trees)
-    while stack:
-        node = stack.pop()
-        if node.weight is None:
-            if node.threshold == node.threshold:  # NaN: every row goes right
-                thresholds.setdefault(node.feature, []).append(node.threshold)
-                stack.append(node.left)
-            stack.append(node.right)
+    split = (m.feature >= 0) & (m.value == m.value)  # NaN: every row goes right
+    split_features, thresholds = m.feature[split], m.value[split]
     codes = {}
-    for feature, values in thresholds.items():
-        grid = np.unique(values)
+    for feature in np.unique(split_features).tolist():
+        grid = np.unique(thresholds[split_features == feature])
         code = grid.searchsorted(x[:, feature])
         seen = np.bincount(code, minlength=grid.size + 1) > 0
         codes[feature] = (np.append(grid, np.nan)[seen], (np.cumsum(seen, dtype=np.intp) - 1)[code])
     n, lr = x.shape[0], m.config.learning_rate
     acc = np.full(n, m.base_score)
     scratch = (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64), np.empty(n))
-    for tree in m.trees:
+    bounds = m.starts.tolist()
+    for a, b in zip(bounds, bounds[1:]):
         outputs, nodes = [], []
-        _layout(tree, lr, outputs, nodes)
+        _layout((m.feature[a:b].tolist(), m.value[a:b].tolist(), m.right[a:b].tolist()), 0, lr, outputs, nodes)
         leaves = np.concatenate((np.zeros(_BIAS), outputs))
         _score_tree(leaves, nodes, 0, 0, len(outputs), codes, x, acc, ..., scratch)
     return acc

@@ -44,23 +44,6 @@ def _blocks_from_dict(doc: dict, config_type: type) -> dict:
     }
 
 
-def tree_to_lists(root: gbt.TreeNode) -> dict:
-    """A tree as two parallel pre-order lists (a node, then its left subtree,
-    then its right one): ``feature`` holds each split's schema index and -1
-    at a leaf, ``value`` the split's threshold or the leaf's weight."""
-    features, values, stack = [], [], [root]
-    while stack:
-        node = stack.pop()
-        if node.weight is None:
-            features.append(node.feature)
-            values.append(node.threshold)
-            stack += node.right, node.left
-        else:
-            features.append(-1)
-            values.append(node.weight)
-    return {"feature": features, "value": values}
-
-
 def _finite(value) -> float:
     """A finite JSON number as a float; a string, a bool, NaN or an
     infinity raises SchemaError."""
@@ -81,13 +64,16 @@ def _finite_list(values) -> list[float]:
     return [_finite(v) for v in values]  # raises at the first bad entry
 
 
-def tree_from_lists(doc: dict, n_features: int) -> gbt.TreeNode:
-    """The tree that tree_to_lists wrote, decoded in one pass from its last
-    node back: a leaf is pushed, and a split takes the top two subtrees as
-    its left and right. Unequal or empty lists, lists that are not the
-    pre-order of one tree, a feature that is not -1 or a schema index, a
-    value that is not a finite JSON number, or a path of more than
-    ``gbt.MAX_DEPTH`` splits raise SchemaError."""
+def tree_from_lists(doc: dict, n_features: int) -> tuple[list, list]:
+    """The (feature, value) lists of a tree written as two parallel pre-order
+    lists (a node, then its left subtree, then its right one): ``feature``
+    holds each split's schema index and -1 at a leaf, ``value`` the split's
+    threshold or the leaf's weight. One pass from the last node back checks
+    them, keeping the height of each subtree seen so far on a stack. Unequal
+    or empty lists, lists that are not the pre-order of one tree, a feature
+    that is not -1 or a schema index, a value that is not a finite JSON
+    number, or a path of more than ``gbt.MAX_DEPTH`` splits raise
+    SchemaError."""
     features, values = doc["feature"], _finite_list(doc["value"])
     n = len(features)
     if n != len(values) or not n:
@@ -96,63 +82,69 @@ def tree_from_lists(doc: dict, n_features: int) -> gbt.TreeNode:
     if not types_ok or not -1 <= min(features) <= max(features) < n_features:
         bad = next(f for f in features if type(f) is not int or not -1 <= f < n_features)
         raise SchemaError(f"bad tree feature {bad!r} of {n_features}")
-    # The subtrees built so far, the last on top, and the height of each.
-    built, heights, node = [], [], gbt.TreeNode
-    for feature, value in zip(reversed(features), reversed(values)):
+    heights = []
+    for feature in reversed(features):
         if feature < 0:
-            built.append(node(value))
             heights.append(0)
             continue
-        if len(built) < 2:
+        if len(heights) < 2:
             raise SchemaError(f"a tree's {n} nodes are not one pre-order: a split lacks a child")
         height = max(heights.pop(), heights.pop()) + 1
         if height > gbt.MAX_DEPTH:
             raise SchemaError(f"a tree is deeper than {gbt.MAX_DEPTH} splits")
-        left = built.pop()
-        built.append(node(None, feature, value, left, built.pop()))
         heights.append(height)
-    if len(built) > 1:
-        raise SchemaError(f"a tree's {n} nodes are not one pre-order: {len(built)} subtrees")
-    return built[0]
+    if len(heights) > 1:
+        raise SchemaError(f"a tree's {n} nodes are not one pre-order: {len(heights)} subtrees")
+    return features, values
 
 
-def tree_from_dict(doc: dict, n_features: int) -> gbt.TreeNode:
-    """A tree nested as earlier versions wrote it (a leaf ``{"weight"}``, a
-    split ``{"feature", "threshold", "left", "right"}``) whose splits use
-    features ``0 .. n_features - 1``; a bad index, or a threshold or weight
-    that is not a finite JSON number, raises SchemaError."""
-    if "weight" in doc:
-        return gbt.TreeNode(_finite(doc["weight"]))
-    feature, threshold = doc["feature"], _finite(doc["threshold"])
-    if type(feature) is not int or not 0 <= feature < n_features:
-        raise SchemaError(f"bad split on feature {feature!r} of {n_features} at {threshold!r}")
-    left, right = tree_from_dict(doc["left"], n_features), tree_from_dict(doc["right"], n_features)
-    return gbt.TreeNode(None, feature, threshold, left, right)
-
-
-def _tree(doc, n_features: int) -> gbt.TreeNode:
-    """A ``trees`` entry: flat lists if its ``feature`` is a list, else nested."""
-    if type(doc) is dict and type(doc.get("feature")) is list:
-        return tree_from_lists(doc, n_features)
-    return tree_from_dict(doc, n_features)
+def _nested_lists(doc, n_features: int) -> dict:
+    """The pre-order lists of a tree nested as earlier versions wrote it (a
+    leaf ``{"weight"}``, a split ``{"feature", "threshold", "left",
+    "right"}``), read without recursion. A split's feature must be one of
+    ``0 .. n_features - 1`` and a threshold or weight a finite JSON number,
+    else SchemaError is raised."""
+    features, values, stack = [], [], [doc]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # a split whose left subtree is done
+            node = node[0]["right"]
+        if "weight" in node:
+            features.append(-1)
+            values.append(_finite(node["weight"]))
+            continue
+        feature, threshold = node["feature"], _finite(node["threshold"])
+        if type(feature) is not int or not 0 <= feature < n_features:
+            raise SchemaError(f"bad split on feature {feature!r} of {n_features} at {threshold!r}")
+        features.append(feature)
+        values.append(threshold)
+        stack += (node,), node["left"]
+    return {"feature": features, "value": values}
 
 
 def gbt_to_dict(m: gbt.GbtModel) -> dict:
+    features, values, bounds = m.feature.tolist(), m.value.tolist(), m.starts.tolist()
     return {
         "base_score": m.base_score,
         **_blocks(m),
-        "trees": [tree_to_lists(t) for t in m.trees],
+        "trees": [{"feature": features[a:b], "value": values[a:b]} for a, b in zip(bounds, bounds[1:])],
     }
 
 
 def gbt_from_dict(doc: dict) -> gbt.GbtModel:
+    """A ``trees`` entry holds flat lists if its ``feature`` is a list; any
+    other entry is read as a nested tree."""
     blocks = _blocks_from_dict(doc, gbt.GbtConfig)
     n_features = len(blocks["schema"])
-    return gbt.GbtModel(
-        trees=tuple(_tree(t, n_features) for t in doc["trees"]),
-        base_score=_finite(doc["base_score"]),
-        **blocks,
-    )
+    features, values, starts = [], [], [0]
+    for tree in doc["trees"]:
+        if not (type(tree) is dict and type(tree.get("feature")) is list):
+            tree = _nested_lists(tree, n_features)
+        feature, value = tree_from_lists(tree, n_features)
+        features += feature
+        values += value
+        starts.append(len(features))
+    return gbt.GbtModel(features, values, starts, base_score=_finite(doc["base_score"]), **blocks)
 
 
 def ebm_to_dict(m: ebm.EbmModel) -> dict:
@@ -185,7 +177,7 @@ def ebm_from_dict(doc: dict) -> ebm.EbmModel:
             f"{len(values)} shapes and {len(bins.cuts)} cut lists for {n_features} features"
         )
     for j, (cuts, v) in enumerate(zip(bins.cuts, values)):
-        if (np.diff(cuts) <= 0).any():
+        if (cuts[1:] <= cuts[:-1]).any():
             raise SchemaError(f"the cuts of feature {j} are not strictly ascending")
         if v.shape != (len(cuts) + 1,):
             raise SchemaError(f"feature {j} has {len(cuts) + 1} bins but {v.size} shape values")

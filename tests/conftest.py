@@ -59,6 +59,24 @@ def tree_predict(node, x):
     return np.array(out, dtype=np.float64)
 
 
+def tree_to_lists(root):
+    """A tree as a model file holds it: two parallel pre-order lists (a node,
+    then its left subtree, then its right one), ``feature`` with each split's
+    schema index and -1 at a leaf, ``value`` with the split's threshold or
+    the leaf's weight. Walked without recursion."""
+    features, values, stack = [], [], [root]
+    while stack:
+        node = stack.pop()
+        if node.weight is None:
+            features.append(node.feature)
+            values.append(node.threshold)
+            stack += node.right, node.left
+        else:
+            features.append(-1)
+            values.append(node.weight)
+    return {"feature": features, "value": values}
+
+
 def tree_depth(node):
     if node.is_leaf:
         return 0
@@ -86,6 +104,17 @@ def traced_peak(fn, *args):
     try:
         fn(*args)
         return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def traced_held(fn, *args):
+    """The memory tracemalloc sees still allocated when ``fn(*args)`` has
+    returned, its result alive: what the result holds."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841 - held until the count is read
+        return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 

@@ -523,6 +523,27 @@ class TestMalformedModel:
         assert code == 3, stderr
         assert "Traceback" not in stderr and "nested too deeply" in stderr
 
+    def test_nested_chain_past_the_bound_exits_3_like_the_flat_one(self, data_dir, tmp_path, gbt_doc):
+        # Both layouts are read into the same lists, so one depth bound and
+        # one message hold for both.
+        depth = gbt.MAX_DEPTH + 1
+        nested = ('{"feature": 0, "threshold": 0.5, "left": ' * depth + '{"weight": 1.0}'
+                  + ', "right": {"weight": 1.0}}' * depth)
+        path, stderr = tmp_path / "model.json", {}
+        for layout, tree in (("nested", nested), ("flat", json.dumps(flat_chain(depth)))):
+            doc = json.loads(json.dumps(gbt_doc))
+            doc["model"]["trees"] = ["DEEP"]
+            path.write_text(json.dumps(doc).replace('"DEEP"', tree))
+            code, stderr[layout] = run_process(
+                "predict", "--data", str(data_dir / "dataset.csv"),
+                "--model", str(path), "--out", str(tmp_path / layout),
+            )
+            assert code == 3, stderr[layout]
+            assert not (tmp_path / layout).exists()
+        message = errors.SchemaError(f"a tree is deeper than {gbt.MAX_DEPTH} splits")
+        assert stderr["flat"] == f"error: malformed gbt model file {path}: {message!r}\n"
+        assert stderr["nested"] == stderr["flat"]
+
     def test_tree_980_deep_predicts_the_row_reference(self, data_dir, tmp_path, gbt_doc):
         # A chain of 980 splits, about as deep as a nested model file may
         # nest and the depth bound of flat ones, of 981 leaves: predict
@@ -1358,7 +1379,6 @@ class TestExtremeValues:
         assert f"{float(rows[0]['rmse']):10.2e}" in lines[-1]
 
     @pytest.mark.parametrize("kind", ["gbt", "ebm", "stacked"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.diff of the loaded cuts overflows
     def test_overflowing_midpoints_train_and_predict(self, data_dir, tmp_path, kind):
         data = str(_with_extreme_column(data_dir / "dataset.csv", tmp_path / "x.csv", "consumption"))
         code, stderr = run_process("train", "--data", data, "--model", kind, *self.SMALL, "--out", "m", cwd=tmp_path)
@@ -1367,6 +1387,19 @@ class TestExtremeValues:
         code, stderr = run_process("predict", "--data", data, "--model", "m/model.json", "--out", "p", cwd=tmp_path)
         assert code == 0 and "Traceback" not in stderr, stderr
         assert (tmp_path / "p" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["ebm", "stacked"])
+    def test_cuts_spanning_the_float_range_load_without_warning(self, data_dir, tmp_path, kind):
+        # Cuts near -1.7e308 and 1.7e308 are checked for order without
+        # subtracting them, which would overflow.
+        data = str(_with_extreme_column(data_dir / "dataset.csv", tmp_path / "x.csv", "consumption"))
+        code, stderr = run_process("train", "--data", data, "--model", kind, *self.SMALL, "--out", "m", cwd=tmp_path)
+        assert code == 0, stderr
+        base = load_model(tmp_path / "m" / "model.json")[2]
+        cuts = (base if kind == "ebm" else base.base).bins.cuts[1]
+        assert cuts[0] < -1e308 and cuts[-1] > 1e308
+        code, stderr = run_process("predict", "--data", data, "--model", "m/model.json", "--out", "p", cwd=tmp_path)
+        assert (code, stderr) == (0, "")
 
     @pytest.mark.parametrize("kind, message", [
         ("gbt", "GBT training predictions must be finite"),

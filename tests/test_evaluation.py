@@ -82,6 +82,12 @@ class TestComputeMetrics:
         assert m.rmse == 2e200 * math.sqrt((0.25 + 1.0 + 0.0) / 3) and m.r2 is None
         assert m.mae == pytest.approx(1e200)
 
+    def test_mae_whose_sum_overflows_is_finite(self):
+        # Errors of 1.7e308, 1.7e308 and 0: their sum overflows, their MAE does not.
+        m = compute_metrics([1.7e308, 1.7e308, 0.0], [0.0, 0.0, 0.0])
+        assert m.mae == 1.7e308 * ((1.0 + 1.0 + 0.0) / 3)
+        assert m.rmse == 1.7e308 * math.sqrt((1.0 + 1.0 + 0.0) / 3)
+
     def test_wide_metric_is_printed_in_e_notation(self):
         report = EvalReport(issue_timestamps=np.arange(2), actual=np.zeros(2))
         report.rows.append(EvalRow("x", "up", "m", False, 2, 2, Metrics(3.07e304, 12.5, -1e6)))

@@ -27,9 +27,17 @@ from balancecast import (
     leaf_weight,
 )
 from balancecast.data import SyntheticConfig, align_horizon, generate_synthetic
-from balancecast.persistence import save_model, tree_to_lists
+from balancecast.persistence import load_model, save_model
 
-from conftest import split_gain, traced_peak, tree_depth, tree_predict
+from conftest import (
+    legacy_model_doc,
+    split_gain,
+    traced_held,
+    traced_peak,
+    tree_depth,
+    tree_predict,
+    tree_to_lists,
+)
 
 
 def schema_for(p):
@@ -184,7 +192,7 @@ def reference_gbt_train(d, cfg):
         trees.append(root)
         pred = pred + cfg.learning_rate * tree_predict(root, d.features)
         mse.append(float(np.mean((y - pred) ** 2)))
-    return GbtModel(tuple(trees), base, cfg, d.schema, tuple(mse))
+    return GbtModel.from_trees(trees, base, cfg, d.schema, tuple(mse))
 
 
 def tree_outcome(fit):
@@ -576,7 +584,7 @@ class TestOverflow:
 
 class TestGbtPredict:
     def test_single_leaf_tree_with_shrinkage(self):
-        m = GbtModel(
+        m = GbtModel.from_trees(
             trees=(TreeNode(weight=2.0),),
             base_score=10.0,
             config=GbtConfig(learning_rate=0.5),
@@ -596,7 +604,7 @@ class TestGbtPredict:
         # The weight each row reaches in each tree: NaN compares false and goes right.
         reached = {"leaf": [2.0] * 6, "split": [1.25, -3.0, 0.1, 1.25, 0.1, 0.1]}
         kinds = layout.split(",")
-        m = GbtModel(
+        m = GbtModel.from_trees(
             trees=tuple(leaf if k == "leaf" else split for k in kinds),
             base_score=10.1,
             config=GbtConfig(learning_rate=0.3),
@@ -611,7 +619,7 @@ class TestGbtPredict:
         assert np.array_equal(bits(gbt_predict_batch(m, rows)), bits(expected))
 
     def test_dimension_mismatch(self):
-        m = GbtModel(
+        m = GbtModel.from_trees(
             trees=(), base_score=0.0, config=GbtConfig(), schema=schema_for(2)
         )
         with pytest.raises(SchemaError):
@@ -867,7 +875,7 @@ class TestHandBuiltModels:
     @pytest.mark.parametrize("name", sorted(HAND_BUILT))
     def test_matches_row_reference(self, name):
         p, trees = HAND_BUILT[name]
-        m = GbtModel(trees=trees, base_score=0.1, config=GbtConfig(learning_rate=0.3), schema=schema_for(p))
+        m = GbtModel.from_trees(trees=trees, base_score=0.1, config=GbtConfig(learning_rate=0.3), schema=schema_for(p))
         rows = np.array(list(itertools.product(SPECIAL_CELLS, repeat=p)))
         for batch in (rows, rows[:0], rows[5:6]):
             assert np.array_equal(bits(gbt_predict_batch(m, batch)), bits(row_reference(m, batch)))
@@ -917,7 +925,107 @@ class TestBatchReadsInputInPlace:
         # Laying out every tree before scoring any adds about 5 kB per tree.
         m = spiky_models["default"]
         x = aligned_spiky.features
-        few = dataclasses.replace(m, trees=m.trees[:30])
+        few = GbtModel.from_trees(m.trees[:30], m.base_score, m.config, m.schema)
         gbt_predict_batch(few, x)  # the first call in a process keeps about 1 MB
         extra = traced_peak(gbt_predict_batch, m, x) - traced_peak(gbt_predict_batch, few, x)
         assert extra < 250_000
+
+
+def arrays(model):
+    """A model's flat arrays, its values as bit patterns so that NaN equals NaN."""
+    return (model.feature.tolist(), bits(model.value).tolist(), model.starts.tolist(), model.right.tolist())
+
+
+def right_children(model):
+    """Each split's right child's index within its tree, -1 at a leaf, found
+    by walking past its left subtree."""
+    feature = model.feature.tolist()
+
+    def end(i):  # one past the subtree at node i
+        return i + 1 if feature[i] < 0 else end(end(i + 1))
+
+    bounds = model.starts.tolist()
+    return [-1 if feature[i] < 0 else end(i + 1) - a for a, b in zip(bounds, bounds[1:]) for i in range(a, b)]
+
+
+class TestFlatLayout:
+    """A model holds its trees as flat pre-order arrays; nested TreeNodes are
+    built only when ``trees`` is read."""
+
+    def test_train_load_and_predict_build_no_tree_node(self, aligned_spiky, tmp_path, monkeypatch):
+        sub = aligned_spiky.slice_rows(0, 300)
+        trained = gbt_train(sub, GbtConfig(n_trees=5, max_depth=4))
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps({"kind": "gbt", "horizon_steps": 32, "model": legacy_model_doc("gbt", trained)}))
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a TreeNode was built")
+
+        monkeypatch.setattr(TreeNode, "__new__", refuse)
+        m = gbt_train(sub, GbtConfig(n_trees=5, max_depth=4))
+        save_model(m, 32, tmp_path / "model.json")
+        for path in (tmp_path / "model.json", nested):
+            loaded = load_model(path)[2]
+            assert arrays(loaded) == arrays(m)
+            assert gbt_predict(loaded, sub.features[7]) == gbt_predict_batch(loaded, sub.features)[7]
+        with pytest.raises(AssertionError, match="a TreeNode was built"):
+            m.trees
+
+    def test_arrays_are_read_only(self, aligned_spiky):
+        m = gbt_train(aligned_spiky.slice_rows(0, 100), GbtConfig(n_trees=2, max_depth=2))
+        for name in ("feature", "value", "right", "starts"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(m, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.value = m.value
+
+    @pytest.mark.parametrize(
+        "feature, value, starts",
+        [
+            ([0], [0.5], [0, 1]),  # a split without children
+            ([-1, -1], [1.0, 2.0], [0, 2]),  # two roots in one tree
+            ([0, -1, -1, -1], [0.5, 1.0, 2.0, 3.0], [0, 2, 4]),  # trees cut apart
+            ([-1, 0, -1, -1], [1.0, 0.5, 1.0, 2.0], [0, 4]),
+            ([-1], [1.0], [0, 2]),  # starts past the nodes
+            ([-1], [1.0], [1, 1]),
+            ([-1], [1.0], []),
+            ([-1, -1], [1.0, 2.0], [0, 1, 1, 2]),  # an empty tree
+            ([0, -1, -1], [0.5, 1.0], [0, 3]),  # fewer values than nodes
+            ([2, -1, -1], [0.5, 1.0, 2.0], [0, 3]),  # a feature past the schema
+            ([-2, -1, -1], [0.5, 1.0, 2.0], [0, 3]),
+        ],
+    )
+    def test_arrays_that_are_not_whole_trees_are_refused(self, feature, value, starts):
+        with pytest.raises(InvalidArgumentError, match="pre-order of whole trees"):
+            GbtModel(feature, value, starts, 0.0, GbtConfig(), schema_for(2))
+
+    def test_loaded_default_model_holds_under_1_mb(self, spiky_models, tmp_path):
+        # As nested TreeNodes, the default 300-tree model held 2.6 MB.
+        path = tmp_path / "model.json"
+        save_model(spiky_models["default"], 32, path)
+        assert traced_held(load_model, path) < 1_000_000
+
+    def test_right_is_each_split_right_child_in_its_tree(self):
+        split = TreeNode(feature=0, threshold=0.5, left=leaf(1.0), right=leaf(2.0))
+        m = GbtModel.from_trees((leaf(3.0), TreeNode(None, 1, 1.5, split, leaf(4.0))), 0.0, GbtConfig(), schema_for(2))
+        assert m.feature.tolist() == [-1, 1, 0, -1, -1, -1]
+        assert m.value.tolist() == [3.0, 1.5, 0.5, 1.0, 2.0, 4.0]
+        assert m.right.tolist() == [-1, 4, 3, -1, -1, -1]  # within its tree
+        assert m.starts.tolist() == [0, 1, 6]
+
+    @settings(max_examples=60, deadline=None)
+    @given(predict_problems())
+    def test_from_trees_reproduces_trained_arrays(self, problem):
+        m, _ = problem
+        back = GbtModel.from_trees(m.trees, m.base_score, m.config, m.schema, m.train_mse)
+        assert arrays(back) == arrays(m)
+        assert m.right.tolist() == right_children(m)
+        assert back.trees == m.trees
+
+    @pytest.mark.parametrize("name", ["nan-threshold", "65-leaves"])
+    def test_from_trees_reproduces_hand_built_arrays(self, name):
+        p, trees = HAND_BUILT[name]
+        m = GbtModel.from_trees(trees, 0.1, GbtConfig(), schema_for(p))
+        assert sum(map(leaf_count, trees)) == int((m.feature < 0).sum())
+        assert arrays(GbtModel.from_trees(m.trees, 0.1, GbtConfig(), schema_for(p))) == arrays(m)
+        assert m.right.tolist() == right_children(m)

@@ -7,6 +7,8 @@ import pytest
 
 from balancecast import (
     KINDS,
+    FeatureSchema,
+    GbtModel,
     InvalidArgumentError,
     NaiveModel,
     SchemaError,
@@ -17,12 +19,14 @@ from balancecast import (
     align_horizon,
     generate_synthetic,
     load_model,
+    gbt_from_dict,
+    gbt_to_dict,
     save_model,
     stacked_predict_batch,
 )
 from balancecast.data import save_truth_json, truth_table, write_json
 from balancecast.gbt import MAX_DEPTH
-from balancecast.persistence import tree_from_lists, tree_to_lists
+from balancecast.persistence import tree_from_lists
 from conftest import flat_chain, legacy_model_doc
 
 # The smallest training config per registered kind; a kind added to KINDS
@@ -176,10 +180,13 @@ def test_tree_nested_too_deeply_is_schema_error(tiny_data, tmp_path, monkeypatch
     for _ in range(1200):
         node = {"feature": 0, "threshold": 0.0, "left": node, "right": {"weight": 1.0}}
     doc["model"]["trees"] = [node]
-    # Hand the nested document to the tree decoder past json's own depth limit.
+    # Hand the nested document to the tree decoder past json's own depth
+    # limit: it reads the nest without recursion and refuses its depth as it
+    # refuses a flat tree's.
     monkeypatch.setattr(json, "load", lambda fh: doc)
-    with pytest.raises(SchemaError, match="RecursionError"):
+    with pytest.raises(SchemaError) as info:
         load_model(path)
+    assert str(info.value) == f"malformed gbt model file {path}: {SchemaError(f'a tree is deeper than {MAX_DEPTH} splits')!r}"
 
 
 def _set_first(tree, leaf, new):
@@ -278,7 +285,8 @@ def _last_leaf_weight(model, value):
         if node.is_leaf:
             return node._replace(weight=value)
         return node._replace(right=rightmost(node.right))
-    return dataclasses.replace(model, trees=(*model.trees[:-1], rightmost(model.trees[-1])))
+    trees = (*model.trees[:-1], rightmost(model.trees[-1]))
+    return GbtModel.from_trees(trees, model.base_score, model.config, model.schema)
 
 
 @pytest.mark.parametrize(
@@ -445,14 +453,22 @@ def test_flat_tree_without_numbers_is_schema_error(tree, message, tmp_path):
     assert str(info.value).startswith(f"malformed gbt model file {path}: {message}")
 
 
+def _one_tree_doc(tree, p):
+    """The ``gbt_to_dict`` document of a model of one tree on ``p`` features."""
+    schema = FeatureSchema(tuple(f"f{i}" for i in range(p)))
+    return gbt_to_dict(GbtModel.from_trees((tree,), 0.5, GbtConfig(), schema))
+
+
 def test_flat_codec_does_not_recurse():
     # A recursive encoder raises RecursionError on a chain of 5,000 splits,
     # and a recursive decoder on one of MAX_DEPTH under pytest's own frames.
     tree = TreeNode(1.0)
     for _ in range(5000):
         tree = TreeNode(None, 0, 0.5, tree, TreeNode(1.0))
-    assert tree_to_lists(tree) == flat_chain(5000)
-    tree, depth = tree_from_lists(flat_chain(MAX_DEPTH), 1), 0
+    assert _one_tree_doc(tree, 1)["trees"] == [flat_chain(5000)]
+    doc = _one_tree_doc(TreeNode(1.0), 1)
+    doc["trees"] = [flat_chain(MAX_DEPTH)]
+    tree, depth = gbt_from_dict(doc).trees[0], 0
     while not tree.is_leaf:
         assert tree.right == TreeNode(1.0)
         tree, depth = tree.left, depth + 1
@@ -462,8 +478,12 @@ def test_flat_codec_does_not_recurse():
 def test_tree_lists_are_its_pre_order():
     tree = TreeNode(None, 1, 1.5, TreeNode(None, 0, -2.0, TreeNode(3.0), TreeNode(4.0)), TreeNode(5.0))
     doc = {"feature": [1, 0, -1, -1, -1], "value": [1.5, -2.0, 3.0, 4.0, 5.0]}
-    assert tree_to_lists(tree) == doc
-    assert tree_from_lists(doc, 2) == tree
+    assert _one_tree_doc(tree, 2)["trees"] == [doc]
+    assert tree_from_lists(doc, 2) == (doc["feature"], doc["value"])
+    loaded = gbt_from_dict(_one_tree_doc(tree, 2))
+    assert loaded.trees == (tree,)
+    # The root's right child is node 4, the left child's node 3.
+    assert loaded.right.tolist() == [4, 3, -1, -1, -1]
 
 
 def test_integer_flat_tree_numbers_load_as_floats(tmp_path):
